@@ -210,7 +210,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run one closed-loop simulation")
     p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--track", help="track CSV (x,y,v_ref); overrides config track")
+    p.add_argument("--track", help="track CSV (x,y or x,y,v_ref); overrides config track")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -67,27 +67,30 @@ def build_vehicle(spec: dict | None) -> VehicleParams:
         raise ConfigError(f"bad vehicle parameters: {exc}") from exc
 
 
+# track kind -> (builder, the keys it takes besides 'kind' and 'name')
+_TRACK_KINDS = {
+    "straight": (straight_track, {"length", "spacing", "v_ref", "start", "heading"}),
+    "circle": (circle_track, {"radius", "spacing", "v_ref"}),
+    "racetrack": (racetrack, {"straight", "radius", "spacing", "v_ref"}),
+    "csv": (Track.from_csv, {"path", "closed", "v_ref"}),
+}
+
+
 def build_track(spec: dict) -> Track:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("track spec needs a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _TRACK_KINDS:
+        raise ConfigError(f"unknown track kind {kind!r}")
+    builder, keys = _TRACK_KINDS[kind]
     args = {k: v for k, v in spec.items() if k not in ("kind", "name")}
+    _take(args, keys, f"track kind {kind!r}")
+    if kind == "csv" and "path" not in args:
+        raise ConfigError("track kind 'csv' missing key 'path'")
     try:
-        if kind == "straight":
-            return straight_track(**args)
-        if kind == "circle":
-            return circle_track(**args)
-        if kind == "racetrack":
-            return racetrack(**args)
-        if kind == "csv":
-            return Track.from_csv(args["path"])
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"track kind {kind!r} missing key {exc}") from exc
+        return builder(**args)
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad track spec: {exc}") from exc
-    raise ConfigError(f"unknown track kind {kind!r}")
 
 
 def build_shaper(spec: dict | None) -> OutputShaper:
@@ -146,7 +149,7 @@ def build_mpc_config(spec: dict, dt: float) -> MpcConfig:
     if "steer_max_deg" in b:
         b["steer_max"] = math.radians(b.pop("steer_max_deg"))
     o = spec.get("opt", {})
-    _take(o, {"max_iter", "tol", "seed"}, "mpc.opt")
+    _take(o, {"max_iter"}, "mpc.opt")
     try:
         return MpcConfig(
             ts=spec.get("ts", 0.05),

@@ -1,10 +1,10 @@
 """Numerically hot kernels.
 
 Compiled with numba when it is importable and the ``TRACKBENCH_NUMBA``
-environment variable is not set to ``0``/``false``/``off``/``no``.  With the
-flag disabled the same source runs as plain Python over numpy scalars, and
-the polyline scan additionally switches to a vectorized numpy path (see
-:mod:`trackbench.track`).  ``USING_NUMBA`` reports which path is active.
+environment variable is not set to ``0``/``false``/``off``/``no``.  Otherwise
+the same source runs as plain Python, and the full-track polyline scan
+switches to a vectorized numpy path (see :mod:`trackbench.track`).
+``USING_NUMBA`` reports which path is active.
 """
 
 from __future__ import annotations
@@ -115,16 +115,26 @@ def mpc_cost(
     refs is (p, 4) rows (x, y, theta, v_ref).  seq is (m, 2), held after m.
     Soft terms (rate-of-change and speed envelope) are quadratic in the
     violation; a non-positive bound disables the corresponding term.
+
+    The kinematic step and both angle wraps are written out inline, with the
+    operations of kin_step and wrap_angle in the same order, so the result
+    equals a kin_step rollout bit for bit.  Each step reads its array
+    elements into Python floats first: interpreted, arithmetic on numpy
+    scalars and a call per step cost about as much as the arithmetic itself.
     """
     p = refs.shape[0]
     m = seq.shape[0]
+    x = float(x)
+    y = float(y)
+    theta = float(theta)
+    v = float(v)
+    pa = float(prev_a)
+    pd = float(prev_d)
     cost = 0.0
-    pa = prev_a
-    pd = prev_d
     for i in range(p):
         j = i if i < m else m - 1
-        a = seq[j, 0]
-        d = seq[j, 1]
+        a = float(seq[j, 0])
+        d = float(seq[j, 1])
         da = a - pa
         dd = d - pd
         cost += w_da * da * da + w_ds * dd * dd
@@ -138,11 +148,19 @@ def mpc_cost(
                 cost += soft_penalty * ex * ex
         pa = a
         pd = d
-        x, y, theta, v = kin_step(x, y, theta, v, a, d, dt, wheelbase, lr)
-        dx = x - refs[i, 0]
-        dy = y - refs[i, 1]
-        eh = wrap_angle(theta - refs[i, 2])
-        ev = refs[i, 3] - v
+        # kin_step, then wrap_angle on the new heading
+        beta = math.atan(math.tan(d) * lr / wheelbase)
+        nx = x + v * math.cos(theta + beta) * dt
+        ny = y + v * math.sin(theta + beta) * dt
+        theta = theta + v * math.tan(d) * math.cos(beta) / wheelbase * dt
+        theta = math.pi - (math.pi - theta) % TWO_PI
+        v = v + a * dt
+        x = nx
+        y = ny
+        dx = x - float(refs[i, 0])
+        dy = y - float(refs[i, 1])
+        eh = math.pi - (math.pi - (theta - float(refs[i, 2]))) % TWO_PI
+        ev = float(refs[i, 3]) - v
         cost += w_pos * (dx * dx + dy * dy) + w_head * eh * eh + w_vel * ev * ev
         if v_soft_max > 0.0:
             over = v - v_soft_max

@@ -5,8 +5,7 @@ the track, then minimizes a quadratic tracking cost over an m-step control
 sequence with a derivative-free compass (pattern) search: coordinate probes
 with shrinking steps, every iterate projected onto the hard input bounds.
 The search draws no random numbers, so results are bit-for-bit
-reproducible; the opt.seed config key is accepted for interface
-compatibility but unused.
+reproducible.
 """
 
 from __future__ import annotations
@@ -63,14 +62,10 @@ class MpcBounds:
 @dataclass(frozen=True)
 class OptSettings:
     max_iter: int = 60
-    tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,9 @@ class MpcConfig:
             raise ValueError("latency_steps must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class OptResult:
     seq: np.ndarray
-    pred: np.ndarray
     cost: float
     status: str  # converged | iteration-capped
     iterations: int
@@ -183,7 +177,12 @@ def optimize(
     params: VehicleParams,
     warm: np.ndarray | None = None,
 ) -> OptResult:
-    """Compass search over the (m, 2) control sequence."""
+    """Compass search over the (m, 2) control sequence.
+
+    Probe steps halve after a sweep that lowers nothing.  The status is
+    'converged' only after such a sweep at the floor step, so no single
+    floor-step probe of a converged sequence lowers its cost.
+    """
     b = cfg.bounds
     w = cfg.weights
     refs = np.ascontiguousarray(refs, dtype=np.float64)
@@ -198,7 +197,7 @@ def optimize(
         )
 
     if warm is not None and warm.shape == (cfg.m, 2):
-        seq = warm.astype(np.float64).copy()
+        seq = np.array(warm, dtype=np.float64)
     else:
         seq = np.tile(np.array(prev_u, dtype=np.float64), (cfg.m, 1))
     _project(seq, b)
@@ -215,7 +214,6 @@ def optimize(
     iterations = 0
     for _ in range(cfg.opt.max_iter):
         iterations += 1
-        swept_from = best
         improved = False
         for row in range(cfg.m):
             for col in range(2):
@@ -238,22 +236,14 @@ def optimize(
                         improved = True
                         break
                     seq[row, col] = old
-        at_floor = step_a <= min_a and step_d <= min_d
-        if improved:
-            # improvement below tolerance only counts once probes are at
-            # their finest resolution; stopping at coarse steps undershoots
-            if at_floor and swept_from - best < cfg.opt.tol:
-                status = "converged"
-                break
-        else:
-            if at_floor:
+        if not improved:
+            if step_a <= min_a and step_d <= min_d:
                 status = "converged"
                 break
             step_a = max(0.5 * step_a, min_a)
             step_d = max(0.5 * step_d, min_d)
 
-    pred = predict(state, seq, cfg, params)
-    return OptResult(seq=seq, pred=pred, cost=float(best), status=status,
+    return OptResult(seq=seq, cost=float(best), status=status,
                      iterations=iterations, evaluations=evals)
 
 
@@ -267,26 +257,29 @@ def build_reference(
 
     Returns (refs, nearest segment index, end_of_track flag); on open tracks
     the reference clamps to the final waypoint once the end is reached.
+    Each row locates its arc length once; its unclamped reference speed sets
+    the spacing to the next row.
     """
     near = track.nearest(state[0], state[1], hint)
     refs = np.empty((cfg.p, 4))
     s = near.s
+    v_here = track.v_ref_at_s(s)
     end = False
     for i in range(cfg.p):
-        v_here = track.v_ref_at_s(s)
-        s_next = s + max(v_here, 0.1) * cfg.ts
+        s = s + max(v_here, 0.1) * cfg.ts
         clamped = False
-        if not track.closed and s_next >= track.length:
-            s_next = track.length
+        if not track.closed and s >= track.length:
+            s = track.length
             end = True
             clamped = True
-        px, py = track.point_at_s(s_next)
+        seg, t = track.locate_s(s)
+        px, py = track.point_on_segment(seg, t)
+        v_here = track.v_ref_on_segment(seg, t)
         refs[i, 0] = px
         refs[i, 1] = py
-        refs[i, 2] = track.tangent_at_s(s_next)
+        refs[i, 2] = track.seg_tangent[seg]
         # past the final waypoint the reference asks for a stop
-        refs[i, 3] = 0.0 if clamped else track.v_ref_at_s(s_next)
-        s = s_next
+        refs[i, 3] = 0.0 if clamped else v_here
     return refs, near.index, end
 
 
@@ -326,11 +319,12 @@ class MpcController:
         result = optimize(sim, refs, self.prev_u, cfg, self.params, self._warm)
         self.last_result = result
         u = (float(result.seq[0, 0]), float(result.seq[0, 1]))
-        # shift one step for the next warm start
-        warm = np.empty_like(result.seq)
-        warm[:-1] = result.seq[1:]
-        warm[-1] = result.seq[-1]
-        self._warm = warm
+        # shift one step for the next warm start, into one buffer that
+        # optimize copies from
+        if self._warm is None:
+            self._warm = np.empty_like(result.seq)
+        self._warm[:-1] = result.seq[1:]
+        self._warm[-1] = result.seq[-1]
         self.prev_u = u
         if cfg.latency_steps > 0:
             self._pending.append(u)

@@ -24,7 +24,6 @@ from .geometric import (
     stanley_steer,
 )
 from .models import (
-    V_MIN_LATERAL,
     ControlInput,
     DynamicState,
     VehicleParams,

@@ -114,19 +114,28 @@ class Track:
         )
 
     @classmethod
-    def from_csv(cls, path, closed: bool = False) -> "Track":
+    def from_csv(cls, path, closed: bool = False, v_ref: float | None = None) -> "Track":
+        """Load `x,y` or `x,y,v_ref` rows.
+
+        A given v_ref sets every waypoint's reference speed, replacing the
+        file's column; an `x,y` file without one gets 8 m/s, the default of
+        the generated tracks.
+        """
         xs, ys, vr = [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:3]] != ["x", "y", "v_ref"]:
-                raise ValueError(f"{path}: expected CSV header 'x,y,v_ref'")
+            header = [c.strip() for c in next(reader, [])[:3]]
+            if header not in (["x", "y"], ["x", "y", "v_ref"]):
+                raise ValueError(f"{path}: expected CSV header 'x,y' or 'x,y,v_ref'")
             for row in reader:
                 if not row:
                     continue
                 xs.append(float(row[0]))
                 ys.append(float(row[1]))
-                vr.append(float(row[2]))
+                if len(header) == 3:
+                    vr.append(float(row[2]))
+        if v_ref is not None or len(header) == 2:
+            vr = np.full(len(xs), 8.0 if v_ref is None else v_ref)
         return cls(xs, ys, vr, closed)
 
     def to_csv(self, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trackbench.config import (
@@ -67,6 +68,27 @@ def test_build_track_kinds(tmp_path):
     csv_path.write_text("x,y,v_ref\n0,0,5\n10,0,5\n20,0,5\n")
     t = build_track({"kind": "csv", "path": str(csv_path)})
     assert t.length == pytest.approx(20.0)
+
+
+def test_build_track_csv_takes_v_ref_and_closed(tmp_path):
+    csv_path = tmp_path / "square.csv"
+    csv_path.write_text("x,y,v_ref\n0,0,8\n10,0,8\n10,10,8\n0,10,8\n")
+    t = build_track({"kind": "csv", "path": str(csv_path), "v_ref": 5, "closed": True})
+    assert t.closed
+    assert t.length == pytest.approx(40.0)
+    assert np.all(t.v_ref == 5.0)
+    t = build_track({"kind": "csv", "path": str(csv_path)})
+    assert not t.closed
+    assert np.all(t.v_ref == 8.0)
+
+
+def test_build_track_names_unknown_key(tmp_path):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("x,y\n0,0\n10,0\n")
+    for spec in ({"kind": "straight"}, {"kind": "circle"}, {"kind": "racetrack"},
+                 {"kind": "csv", "path": str(csv_path)}):
+        with pytest.raises(ConfigError, match="bogus"):
+            build_track({**spec, "name": "t", "bogus": 1})
 
 
 def test_build_track_rejections():
@@ -149,6 +171,10 @@ def test_build_mpc_config_nested_sections():
         build_mpc_config({"weights": {"position": 1.0}}, dt=0.02)
     with pytest.raises(ConfigError):
         build_mpc_config({"p": 2, "m": 5}, dt=0.02)
+    # the solver reads neither a tolerance nor a seed
+    for key in ("tol", "seed"):
+        with pytest.raises(ConfigError, match=key):
+            build_mpc_config({"opt": {key: 1}}, dt=0.02)
 
 
 def test_build_longitudinal_variants(params):

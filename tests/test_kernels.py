@@ -97,6 +97,71 @@ def test_mpc_cost_agrees_with_reference_form():
         assert fused == pytest.approx(ref_cost, rel=1e-12, abs=1e-12)
 
 
+def _mpc_cost_kin_step_loop(
+    x, y, theta, v, seq, prev_a, prev_d, refs, dt, wheelbase, lr,
+    w_pos, w_head, w_vel, w_da, w_ds, v_soft_max, accel_rate_max, steer_rate_max,
+    soft_penalty,
+):
+    """The horizon cost as a loop of kin_step and wrap_angle calls: the
+    reference that the fused kernel inlines."""
+    p = refs.shape[0]
+    m = seq.shape[0]
+    cost = 0.0
+    pa = prev_a
+    pd = prev_d
+    for i in range(p):
+        j = i if i < m else m - 1
+        a = seq[j, 0]
+        d = seq[j, 1]
+        da = a - pa
+        dd = d - pd
+        cost += w_da * da * da + w_ds * dd * dd
+        if accel_rate_max > 0.0:
+            ex = abs(da) - accel_rate_max * dt
+            if ex > 0.0:
+                cost += soft_penalty * ex * ex
+        if steer_rate_max > 0.0:
+            ex = abs(dd) - steer_rate_max * dt
+            if ex > 0.0:
+                cost += soft_penalty * ex * ex
+        pa = a
+        pd = d
+        x, y, theta, v = kernels.kin_step(x, y, theta, v, a, d, dt, wheelbase, lr)
+        dx = x - refs[i, 0]
+        dy = y - refs[i, 1]
+        eh = kernels.wrap_angle(theta - refs[i, 2])
+        ev = refs[i, 3] - v
+        cost += w_pos * (dx * dx + dy * dy) + w_head * eh * eh + w_vel * ev * ev
+        if v_soft_max > 0.0:
+            over = v - v_soft_max
+            if over > 0.0:
+                cost += soft_penalty * over * over
+    return cost
+
+
+def test_mpc_cost_equals_kin_step_loop():
+    # headings span several turns on both sides, so every wrap is exercised;
+    # odd cases pass the state as numpy scalars, as a simulated state can be
+    rng = np.random.default_rng(23)
+    for k in range(2400):
+        p = int(rng.integers(1, 25))
+        m = int(rng.integers(1, p + 1))
+        state = [rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-12, 12),
+                 rng.uniform(-2, 20)]
+        if k % 2 == 0:
+            state = [float(s) for s in state]
+        seq = np.column_stack([rng.uniform(-6, 3, m), rng.uniform(-0.7, 0.7, m)])
+        refs = np.column_stack([rng.uniform(-50, 50, p), rng.uniform(-50, 50, p),
+                                rng.uniform(-12, 12, p), rng.uniform(0, 20, p)])
+        prev = (float(rng.uniform(-6, 3)), float(rng.uniform(-0.7, 0.7)))
+        # soft terms: all off, all on, or each on at random
+        on = [k % 3 == 1 or (k % 3 == 2 and rng.random() < 0.5) for _ in range(3)]
+        soft = (10.0 if on[0] else 0.0, 5.0 if on[1] else 0.0, 0.5 if on[2] else 0.0)
+        args = (*state, seq, *prev, refs, 0.05, 2.5, 1.25,
+                1.0, 3.0, 0.3, 0.05, 1.0, *soft, 10.0)
+        assert kernels.mpc_cost(*args) == _mpc_cost_kin_step_loop(*args)
+
+
 def test_nearest_on_polyline_matches_brute_force():
     rng = np.random.default_rng(4)
     n = 120

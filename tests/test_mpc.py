@@ -16,7 +16,7 @@ from trackbench.mpc import (
     predict,
     stage_cost,
 )
-from trackbench.track import straight_track
+from trackbench.track import Track, racetrack, straight_track
 
 
 def tile_u(u, m):
@@ -240,6 +240,90 @@ def test_build_reference_open_track_end(params):
     assert end
     assert refs[-1, 0] == pytest.approx(10.0, abs=1e-9)  # clamped to last waypoint
     assert refs[-1, 3] == 0.0  # asks for a stop past the end
+
+
+def _build_reference_four_lookups(track, state, cfg, hint=None):
+    """build_reference with a separate arc-length lookup for each quantity:
+    the reference the one-lookup form must equal bit for bit."""
+    near = track.nearest(state[0], state[1], hint)
+    refs = np.empty((cfg.p, 4))
+    s = near.s
+    end = False
+    for i in range(cfg.p):
+        v_here = track.v_ref_at_s(s)
+        s_next = s + max(v_here, 0.1) * cfg.ts
+        clamped = False
+        if not track.closed and s_next >= track.length:
+            s_next = track.length
+            end = True
+            clamped = True
+        px, py = track.point_at_s(s_next)
+        refs[i, 0] = px
+        refs[i, 1] = py
+        refs[i, 2] = track.tangent_at_s(s_next)
+        refs[i, 3] = 0.0 if clamped else track.v_ref_at_s(s_next)
+        s = s_next
+    return refs, near.index, end
+
+
+def test_build_reference_equals_four_lookup_form():
+    rng = np.random.default_rng(24)
+    # open track whose speed ramps to 0 at the end (the 0.1 m/s floor), and
+    # a closed track with uneven speeds and uneven spacing
+    n = 61
+    open_track = Track(np.linspace(0.0, 60.0, n), 0.5 * np.sin(np.linspace(0.0, 6.0, n)),
+                       np.linspace(9.0, 0.0, n))
+    loop = racetrack(40.0, 12.0, spacing=1.7)
+    loop = Track(loop.xs, loop.ys, rng.uniform(0.0, 14.0, loop.npts), closed=True)
+    clamped = 0
+    for track in (open_track, loop):
+        for _ in range(300):
+            cfg = MpcConfig(ts=float(rng.uniform(0.02, 0.3)), p=int(rng.integers(1, 30)), m=1)
+            k = int(rng.integers(0, track.npts))
+            state = (float(track.xs[k] + rng.normal(0.0, 0.5)),
+                     float(track.ys[k] + rng.normal(0.0, 0.5)), 0.0, 8.0)
+            hint = None if rng.random() < 0.5 else max(k - 2, 0)
+            got = build_reference(track, state, cfg, hint)
+            want = _build_reference_four_lookups(track, state, cfg, hint)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+            clamped += got[2]
+    assert clamped > 0
+
+
+def test_converged_solve_is_stationary_at_floor_step(bench_track, params):
+    # a converged sequence has no single floor-step probe that lowers its
+    # cost; cold starts need more sweeps than the default cap to converge
+    cfg = MpcConfig(ts=0.05, p=20, m=4, opt=OptSettings(max_iter=400))
+    b, w = cfg.bounds, cfg.weights
+    floor = (1e-4 * (b.accel_max - b.accel_min), 2e-4 * b.steer_max)
+    lo, hi = (b.accel_min, -b.steer_max), (b.accel_max, b.steer_max)
+    rng = np.random.default_rng(25)
+    converged = 0
+    for _ in range(30):
+        k = int(rng.integers(0, bench_track.nseg))
+        heading = float(bench_track.seg_tangent[k])
+        state = (float(bench_track.xs[k] - math.sin(heading) * rng.uniform(-1.0, 1.0)),
+                 float(bench_track.ys[k] + math.cos(heading) * rng.uniform(-1.0, 1.0)),
+                 heading + float(rng.uniform(-0.2, 0.2)), float(rng.uniform(6.0, 12.0)))
+        refs, _, _ = build_reference(bench_track, state, cfg)
+        prev = (float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-0.2, 0.2)))
+        res = optimize(state, refs, prev, cfg, params)
+        if res.status != "converged":
+            continue
+        converged += 1
+        for row in range(cfg.m):
+            for col in range(2):
+                for sign in (1.0, -1.0):
+                    probe = res.seq.copy()
+                    probe[row, col] = min(max(probe[row, col] + sign * floor[col], lo[col]),
+                                          hi[col])
+                    c = kernels.mpc_cost(
+                        *state, probe, *prev, refs, cfg.ts, params.wheelbase,
+                        params.dist_rear, w.pos, w.head, w.vel, w.d_accel, w.d_steer,
+                        b.v_max, b.accel_rate, b.steer_rate, b.soft_penalty)
+                    assert c >= res.cost
+    assert converged >= 20
 
 
 def test_controller_straight_track_near_zero_steer(params):

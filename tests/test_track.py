@@ -205,6 +205,15 @@ def test_csv_round_trip(tmp_path):
     assert back.closed
 
 
+def test_from_csv_reads_xy_files(tmp_path):
+    path = tmp_path / "xy.csv"
+    path.write_text("x,y\n0,0\n3,4\n6,8\n")
+    t = Track.from_csv(path)
+    assert t.length == pytest.approx(10.0)
+    assert np.all(t.v_ref == 8.0)
+    assert np.all(Track.from_csv(path, v_ref=5.0).v_ref == 5.0)
+
+
 def test_from_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0,0,1\n1,0,1\n")
