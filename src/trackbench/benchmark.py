@@ -3,8 +3,8 @@
 A suite runs every cell in a fixed order (controllers outer, then tracks,
 then speeds), writes one log CSV per cell plus a summary CSV, and never
 aborts on a cell failure; failed cells appear in the summary with an
-'error' termination and NaN metrics.  Identical suite + seed reruns
-produce byte-identical summaries.
+'error' termination and NaN metrics.  Identical suite reruns produce
+byte-identical summaries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 from importlib import resources
 
-from .config import ConfigError, build_run, build_track, load_json
+from .config import ConfigError, _take, build_run, build_track, load_json
 from .sim import simulate
 from .track import Track
 
@@ -59,7 +59,6 @@ def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float)
         "model": suite.get("model", "kinematic"),
         "dt": controller_spec.get("dt", suite.get("dt", 0.02)),
         "max_steps": suite.get("max_steps", 30000),
-        "seed": suite.get("seed", 0),
         "lateral": controller_spec["lateral"],
         "longitudinal": controller_spec.get("longitudinal"),
         "vehicle": suite.get("vehicle"),
@@ -67,13 +66,15 @@ def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float)
     }
     run_cfg = {k: v for k, v in run_cfg.items() if v is not None}
     track = _speed_track(track_spec, speed)
-    sim_cfg, params, lateral, longitudinal = build_run(run_cfg, track)
-    record = simulate(sim_cfg, track, params, lateral, longitudinal)
+    sim_cfg, params, controller = build_run(run_cfg, track)
+    record = simulate(sim_cfg, track, params, controller)
     return record, track
 
 
 def run_suite(suite: dict, out_dir) -> list[dict]:
     """Run every cell, write per-cell logs and summary.csv under out_dir."""
+    _take(suite, {"name", "model", "dt", "max_steps", "speeds", "tracks", "controllers",
+                  "vehicle", "coupling"}, "suite config")
     for key in ("controllers", "tracks", "speeds"):
         if key not in suite:
             raise ConfigError(f"suite config needs a {key!r} list")

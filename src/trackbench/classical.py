@@ -67,10 +67,6 @@ class GainSchedule:
         return self.entries[max(idx, 0)][1]
 
 
-def schedule_gains(schedule: GainSchedule, value: float) -> PidGains:
-    return schedule.gains_at(value)
-
-
 class PidController:
     """Discrete PID: u = kp*e + ki*sum(e_i*dt_i) + kd*(e_t - e_prev)/dt.
 
@@ -167,9 +163,3 @@ class OutputShaper:
             span = self.max_rate * dt
             u = clamp(u, prev - span, prev + span)
         return u
-
-
-def shape_output(
-    shaper: OutputShaper, raw: float, prev: float, error: float, dt: float
-) -> float:
-    return shaper.shape(raw, prev, error, dt)

@@ -7,12 +7,10 @@ Exit codes: 0 success, 1 configuration/usage error, 2 simulate run diverged.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 
-from .config import ConfigError, build_track, build_vehicle, load_json
+from .config import ConfigError, _take, build_track, build_vehicle, load_json
 from .mpc import design_params
 from .track import Track
 
@@ -48,8 +46,8 @@ def cmd_simulate(args) -> int:
 
     cfg = load_json(args.config)
     track = _load_run_track(cfg, args.track)
-    sim_cfg, params, lateral, longitudinal = build_run(cfg, track)
-    record = simulate(sim_cfg, track, params, lateral, longitudinal)
+    sim_cfg, params, controller = build_run(cfg, track)
+    record = simulate(sim_cfg, track, params, controller)
     os.makedirs(args.out, exist_ok=True)
     record.to_csv(os.path.join(args.out, "log.csv"))
     for line in _metrics_lines(record):
@@ -71,21 +69,10 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _learning_setup(cfg: dict):
-    from .learning import EnvConfig, LaneKeepEnv
-
+def _track_and_vehicle(cfg: dict):
     if "track" not in cfg:
         raise ConfigError("config needs a 'track' section")
-    track = build_track(cfg["track"])
-    params = build_vehicle(cfg.get("vehicle"))
-    env_spec = cfg.get("env", {})
-    allowed = {"v_ref", "dt", "max_steps", "off_track", "cross_weight",
-               "crash_penalty", "start_offset", "start_heading"}
-    unknown = set(env_spec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in env")
-    env = LaneKeepEnv(track, params, EnvConfig(**env_spec))
-    return track, params, env
+    return build_track(cfg["track"]), build_vehicle(cfg.get("vehicle"))
 
 
 def _policy_out_paths(out: str) -> tuple[str, str]:
@@ -98,14 +85,27 @@ def _policy_out_paths(out: str) -> tuple[str, str]:
     return out, base + "_log.csv"
 
 
-def _maybe_init_policy(cfg: dict, params):
-    from .learning import Policy
+def _env_setup(args, keys: set, where: str):
+    """Config, lane-keeping env, starting policy and output paths of
+    train-ppo and evolve."""
+    from .learning import EnvConfig, LaneKeepEnv, Policy
+    import numpy as np
 
+    cfg = load_json(args.config)
+    _take(cfg, keys | {"track", "vehicle", "env", "seed", "init_policy", "hidden"}, where)
+    track, params = _track_and_vehicle(cfg)
+    env_spec = cfg.get("env", {})
+    _take(env_spec, {"v_ref", "dt", "max_steps", "off_track", "cross_weight",
+                     "crash_penalty", "start_offset", "start_heading"}, "env")
+    env = LaneKeepEnv(track, params, EnvConfig(**env_spec))
+    policy_path, log_path = _policy_out_paths(args.out)
     path = cfg.get("init_policy")
     if path is None:
-        return None
+        policy = Policy(steer_max=params.steer_max, hidden=tuple(cfg.get("hidden", [32, 32])),
+                        rng=np.random.default_rng(cfg.get("seed", 0)))
+        return cfg, env, policy, policy_path, log_path
     try:
-        return Policy.load(path, steer_max=params.steer_max)
+        return cfg, env, Policy.load(path, steer_max=params.steer_max), policy_path, log_path
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad init_policy {path}: {exc}") from exc
 
@@ -115,10 +115,9 @@ def cmd_train_bc(args) -> int:
     import numpy as np
 
     cfg = load_json(args.config)
-    if "track" not in cfg:
-        raise ConfigError("config needs a 'track' section")
-    track = build_track(cfg["track"])
-    params = build_vehicle(cfg.get("vehicle"))
+    _take(cfg, {"track", "vehicle", "seed", "dt", "max_steps", "zero_thresh", "zero_cap",
+                "hidden", "epochs", "batch", "alpha"}, "train-bc config")
+    track, params = _track_and_vehicle(cfg)
     policy_path, log_path = _policy_out_paths(args.out)
     seed = cfg.get("seed", 0)
 
@@ -141,23 +140,17 @@ def cmd_train_bc(args) -> int:
 
 
 def cmd_train_ppo(args) -> int:
-    from .learning import Policy, evaluate_policy, train_ppo
-    import numpy as np
+    from .learning import evaluate_policy, train_ppo
 
-    cfg = load_json(args.config)
-    _, params, env = _learning_setup(cfg)
-    policy_path, log_path = _policy_out_paths(args.out)
-    seed = cfg.get("seed", 0)
-    policy = _maybe_init_policy(cfg, params) or Policy(
-        steer_max=params.steer_max, hidden=tuple(cfg.get("hidden", [32, 32])),
-        rng=np.random.default_rng(seed))
-
+    cfg, env, policy, policy_path, log_path = _env_setup(
+        args, {"iterations", "episodes_per_iter", "epochs", "eps_clip", "alpha", "sigma"},
+        "train-ppo config")
     r0, e0 = evaluate_policy(env, policy)
     policy, history = train_ppo(
         env, policy, iterations=cfg.get("iterations", 600),
         episodes_per_iter=cfg.get("episodes_per_iter", 8),
         epochs=cfg.get("epochs", 4), eps_clip=cfg.get("eps_clip", 0.2),
-        alpha=cfg.get("alpha", 3e-4), sigma=cfg.get("sigma"), seed=seed,
+        alpha=cfg.get("alpha", 3e-4), sigma=cfg.get("sigma"), seed=cfg.get("seed", 0),
         log_path=log_path)
     r1, e1 = evaluate_policy(env, policy)
     policy.save(policy_path)
@@ -168,21 +161,14 @@ def cmd_train_ppo(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    from .learning import Policy, evaluate_policy, evolve_policy
-    import numpy as np
+    from .learning import evaluate_policy, evolve_policy
 
-    cfg = load_json(args.config)
-    _, params, env = _learning_setup(cfg)
-    policy_path, log_path = _policy_out_paths(args.out)
-    seed = cfg.get("seed", 0)
-    policy = _maybe_init_policy(cfg, params) or Policy(
-        steer_max=params.steer_max, hidden=tuple(cfg.get("hidden", [32, 32])),
-        rng=np.random.default_rng(seed))
-
+    cfg, env, policy, policy_path, log_path = _env_setup(
+        args, {"population", "generations", "sigma", "eval_episodes"}, "evolve config")
     policy, best_f, history = evolve_policy(
         env, policy, population=cfg.get("population", 12),
         generations=cfg.get("generations", 15), sigma=cfg.get("sigma", 0.05),
-        seed=seed, eval_episodes=cfg.get("eval_episodes", 2),
+        seed=cfg.get("seed", 0), eval_episodes=cfg.get("eval_episodes", 2),
         log_path=log_path)
     reward, err = evaluate_policy(env, policy)
     policy.save(policy_path)

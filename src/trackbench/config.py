@@ -20,8 +20,8 @@ from .sim import (
     ConstantAccel,
     CouplingConfig,
     LongitudinalPid,
-    MpcAccelPassthrough,
     MpcLateral,
+    Paired,
     PidLateral,
     PurePursuitLateral,
     SimConfig,
@@ -137,7 +137,7 @@ def _steer_limit(spec: dict, params: VehicleParams) -> float:
     return params.steer_max
 
 
-def build_mpc_config(spec: dict, dt: float) -> MpcConfig:
+def build_mpc_config(spec: dict) -> MpcConfig:
     allowed = {"type", "ts", "p", "m", "weights", "bounds", "opt",
                "latency_steps", "shaper"}
     _take(spec, allowed, "mpc")
@@ -165,20 +165,19 @@ def build_mpc_config(spec: dict, dt: float) -> MpcConfig:
 
 
 def build_lateral(spec: dict, params: VehicleParams, dt: float):
+    """The steering law of a lateral spec; its 'shaper' is built by build_run."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("lateral spec needs a 'type' key")
     kind = spec["type"]
-    shaper = build_shaper(spec.get("shaper"))
     try:
         if kind == "bang_bang":
             _take(spec, {"type", "scale", "u_max", "u_max_deg", "shaper"}, "bang_bang")
             u_max = spec.get("u_max", params.steer_max)
             if "u_max_deg" in spec:
                 u_max = math.radians(spec["u_max_deg"])
-            return BangBangLateral(u_max, spec.get("scale", 0.1), shaper)
+            return BangBangLateral(u_max, spec.get("scale", 0.1))
         if kind == "pid":
-            ctl = PidLateral(_build_pid(spec, "lateral pid"), shaper)
-            return ctl
+            return PidLateral(_build_pid(spec, "lateral pid"))
         if kind == "pure_pursuit":
             _take(spec, {"type", "k_v", "d_l_min", "d_l_max", "d_l_fixed",
                          "delta_max_deg", "shaper"}, "pure_pursuit")
@@ -189,7 +188,7 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
                 delta_max=_steer_limit(spec, params),
                 d_l_fixed=spec.get("d_l_fixed"),
             )
-            return PurePursuitLateral(cfg, params, shaper)
+            return PurePursuitLateral(cfg)
         if kind == "stanley":
             _take(spec, {"type", "k_delta", "k_s", "k_d", "delta_max_deg",
                          "shaper"}, "stanley")
@@ -199,17 +198,14 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
                 k_d=spec.get("k_d", 1.0),
                 delta_max=_steer_limit(spec, params),
             )
-            return StanleyLateral(cfg, shaper)
+            return StanleyLateral(cfg)
         if kind == "mpc":
-            return MpcLateral(build_mpc_config(spec, dt), params, dt, shaper)
+            return MpcLateral(build_mpc_config(spec), params, dt)
         if kind == "policy":
             from .learning import Policy
 
             _take(spec, {"type", "path", "delta_max_deg", "shaper"}, "policy")
-            policy = Policy.load(spec["path"], steer_max=_steer_limit(spec, params))
-            policy.shaper = shaper
-            policy.params = params
-            return policy
+            return Policy.load(spec["path"], steer_max=_steer_limit(spec, params))
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError, OSError) as exc:
@@ -218,18 +214,21 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
 
 
 def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
+    """The speed law of a longitudinal spec (default a speed PID); 'mpc'
+    is the MPC steering law's own acceleration channel."""
     if spec is None:
         spec = {"type": "pid"}
     kind = spec.get("type", "pid")
     if kind == "pid":
-        pid = _build_pid({**{"kp": 1.2, "ki": 0.1}, **spec}, "longitudinal pid")
-        return LongitudinalPid(pid, build_shaper(spec.get("shaper")))
+        return LongitudinalPid(_build_pid({**{"kp": 1.2, "ki": 0.1}, **spec}, "longitudinal pid"))
     if kind == "none":
+        _take(spec, {"type", "value"}, "longitudinal none")
         return ConstantAccel(spec.get("value", 0.0))
     if kind == "mpc":
+        _take(spec, {"type"}, "longitudinal mpc")
         if not isinstance(lateral, MpcLateral):
             raise ConfigError("longitudinal type 'mpc' requires an mpc lateral controller")
-        return MpcAccelPassthrough(lateral)
+        return lateral
     raise ConfigError(f"unknown longitudinal type {kind!r}")
 
 
@@ -255,9 +254,9 @@ def build_initial(spec: dict | None) -> VehicleState | None:
 
 
 def build_run(cfg: dict, track: Track):
-    """Assemble (SimConfig, VehicleParams, lateral, longitudinal) from a
+    """Assemble (SimConfig, VehicleParams, controller) from a
     simulate-config dict."""
-    allowed = {"model", "dt", "max_steps", "seed", "vehicle", "coupling",
+    allowed = {"model", "dt", "max_steps", "vehicle", "coupling",
                "lateral", "longitudinal", "initial", "off_track_limit",
                "actuator_delay_steps", "track"}
     _take(cfg, allowed, "run config")
@@ -268,7 +267,6 @@ def build_run(cfg: dict, track: Track):
             model=cfg.get("model", "kinematic"),
             dt=dt,
             max_steps=cfg.get("max_steps", 20000),
-            seed=cfg.get("seed", 0),
             coupling=build_coupling(cfg.get("coupling")),
             initial=build_initial(cfg.get("initial")),
             off_track_limit=cfg.get("off_track_limit", 5.0),
@@ -278,6 +276,10 @@ def build_run(cfg: dict, track: Track):
         raise ConfigError(f"bad sim config: {exc}") from exc
     if "lateral" not in cfg:
         raise ConfigError("run config needs a 'lateral' section")
-    lateral = build_lateral(cfg["lateral"], params, dt)
-    longitudinal = build_longitudinal(cfg.get("longitudinal"), params, lateral)
-    return sim_cfg, params, lateral, longitudinal
+    lat_spec = cfg["lateral"]
+    lon_spec = cfg.get("longitudinal")
+    lateral = build_lateral(lat_spec, params, dt)
+    longitudinal = build_longitudinal(lon_spec, params, lateral)
+    controller = Paired(lateral, longitudinal, build_shaper(lat_spec.get("shaper")),
+                        build_shaper((lon_spec or {}).get("shaper")))
+    return sim_cfg, params, controller

@@ -53,11 +53,6 @@ def wrap_angle(theta: float) -> float:
 
 
 @njit(cache=True)
-def kin_slip(steer: float, lr: float, wheelbase: float) -> float:
-    return math.atan(math.tan(steer) * lr / wheelbase)
-
-
-@njit(cache=True)
 def kin_step(x, y, theta, v, accel, steer, dt, wheelbase, lr):
     """One explicit-Euler step of the kinematic bicycle model."""
     beta = math.atan(math.tan(steer) * lr / wheelbase)

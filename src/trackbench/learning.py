@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .classical import OutputShaper, PidController, PidGains
+from .classical import PidController, PidGains
 from .models import VehicleParams, VehicleState
 from .nn import (AdamState, Mlp, adam_step, grad_list, load_mlp, loss,
                  loss_grad, save_mlp)
-from .track import Track
+from .track import Track, TrackingErrors
 
 OBS_DIM = 6
 # feature scales: cross-track /3 m, heading rad, speed /10 m/s, previews x20
@@ -27,10 +27,8 @@ _OBS_SCALE = np.array([1.0 / 3.0, 1.0, 0.1, 20.0, 20.0, 20.0])
 _PREVIEWS = (2.0, 5.0, 10.0)
 
 
-def build_observation(track: Track, x: float, y: float, theta: float, v: float,
-                      params: VehicleParams, hint: int | None = None):
-    """Observation vector and the tracking errors it was computed from."""
-    errors = track.tracking_errors(VehicleState(x, y, theta, v), "cog", params, hint)
+def observation(track: Track, errors: TrackingErrors, v: float) -> np.ndarray:
+    """Observation vector from COG tracking errors at speed v."""
     obs = np.empty(OBS_DIM)
     obs[0] = errors.cross_track
     obs[1] = errors.heading
@@ -38,13 +36,22 @@ def build_observation(track: Track, x: float, y: float, theta: float, v: float,
     for i, ahead in enumerate(_PREVIEWS):
         obs[3 + i] = track.curvature_at_s(errors.s + ahead)
     obs *= _OBS_SCALE
-    return obs, errors
+    return obs
+
+
+def build_observation(track: Track, x: float, y: float, theta: float, v: float,
+                      params: VehicleParams, hint: int | None = None):
+    """Observation vector and the tracking errors it was computed from."""
+    errors = track.tracking_errors(VehicleState(x, y, theta, v), "cog", params, hint)
+    return observation(track, errors, v), errors
 
 
 class Policy:
-    """Steering policy: MLP over track observations, tanh-squashed output."""
+    """Steering policy: MLP over track observations, tanh-squashed output.
 
-    frame = "cog"
+    As a steering law (see trackbench.sim.Paired) it reads the harness's COG
+    errors, so it needs no vehicle parameters of its own.
+    """
 
     def __init__(self, mlp: Mlp | None = None, steer_max: float = math.radians(35.0),
                  hidden=(32, 32), rng: np.random.Generator | None = None,
@@ -61,29 +68,16 @@ class Policy:
         self.steer_max = steer_max
         # exploration noise scale used when sampling actions during training
         self.sigma = 0.1 * steer_max if sigma is None else sigma
-        self.shaper = OutputShaper()
-        self.end_of_track = False
-        self._hint: int | None = None
 
     def reset(self) -> None:
-        self.end_of_track = False
-        self._hint = None
+        pass
 
     def mean_steer(self, obs: np.ndarray) -> float:
         out, _ = self.mlp.forward(obs)
         return float(out[0, 0]) * self.steer_max
 
-    def act(self, track: Track, x: float, y: float, theta: float, v: float,
-            params: VehicleParams, hint: int | None = None) -> float:
-        obs, _ = build_observation(track, x, y, theta, v, params, hint)
-        return self.mean_steer(obs)
-
-    # lateral-controller interface for the sim harness
-    def steer(self, state, errors, track: Track, dt: float) -> float:
-        x, y, theta, v = state
-        out = self.act(track, x, y, theta, v, _params_of(self), errors.nearest_index)
-        self._hint = errors.nearest_index
-        return out
+    def steer(self, ctx) -> float:
+        return self.mean_steer(observation(ctx.track, ctx.errors("cog"), ctx.state[3]))
 
     def save(self, path) -> None:
         save_mlp(self.mlp, path)
@@ -91,14 +85,6 @@ class Policy:
     @classmethod
     def load(cls, path, steer_max: float = math.radians(35.0)) -> "Policy":
         return cls(mlp=load_mlp(path), steer_max=steer_max)
-
-
-def _params_of(policy: Policy) -> VehicleParams:
-    params = getattr(policy, "params", None)
-    if params is None:
-        params = VehicleParams()
-        policy.params = params
-    return params
 
 
 def append_training_log(path, rows, seed: int) -> None:
@@ -126,7 +112,7 @@ def collect_expert_dataset(track: Track, params: VehicleParams, *,
     from each perturbed start; returns (observations, steer_labels,
     RunRecord of the unperturbed run)."""
     from .geometric import StanleyConfig
-    from .sim import LongitudinalPid, SimConfig, StanleyLateral, simulate
+    from .sim import LongitudinalPid, Paired, SimConfig, StanleyLateral, simulate
 
     tangent0 = float(track.seg_tangent[0])
     all_obs, all_labels = [], []
@@ -136,10 +122,10 @@ def collect_expert_dataset(track: Track, params: VehicleParams, *,
         y0 = float(track.ys[0]) + offset * math.cos(tangent0)
         init = VehicleState(x0, y0, kernels.wrap_angle(tangent0 + dheading),
                             float(track.v_ref[0]))
-        lateral = StanleyLateral(StanleyConfig(delta_max=params.steer_max))
-        longitudinal = LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0)))
+        controller = Paired(StanleyLateral(StanleyConfig(delta_max=params.steer_max)),
+                            LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0))))
         cfg = SimConfig(dt=dt, max_steps=max_steps, initial=init)
-        record = simulate(cfg, track, params, lateral, longitudinal)
+        record = simulate(cfg, track, params, controller)
         if record.termination not in ("completed", "end_of_track"):
             raise RuntimeError(
                 f"expert run from start ({offset:g}, {dheading:g}) ended "
@@ -370,7 +356,6 @@ def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
             logp = -((act - mu) ** 2) * inv_two_var
             ratio = np.exp(logp - logp_old)
             clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip)
-            surr = np.minimum(ratio * adv, clipped * adv)
             # gradient is live where the unclipped branch is active
             active = (ratio * adv <= clipped * adv) | (
                 (ratio >= 1.0 - eps_clip) & (ratio <= 1.0 + eps_clip)
@@ -380,7 +365,6 @@ def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
             dy = (-dmu * policy.steer_max).reshape(-1, 1)
             grads = policy.mlp.backward(cache, dy)
             adam_step(adam, policy.mlp.parameters(), grad_list(grads))
-            del surr  # objective value unused; gradient drives the update
 
         mean_reward = float(np.mean(ep_rewards))
         history.append((it, mean_reward))

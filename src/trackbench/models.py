@@ -76,9 +76,6 @@ class VehicleState:
     def __post_init__(self) -> None:
         self.theta = kernels.wrap_angle(self.theta)
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.theta, self.v)
-
 
 @dataclass
 class ControlInput:
@@ -103,13 +100,6 @@ class DynamicState(VehicleState):
 
 def clamp(value: float, low: float, high: float) -> float:
     return low if value < low else high if value > high else value
-
-
-def clamp_control(u: ControlInput, params: VehicleParams) -> ControlInput:
-    return ControlInput(
-        accel=clamp(u.accel, -params.decel_max, params.accel_max),
-        steer=clamp(u.steer, -params.steer_max, params.steer_max),
-    )
 
 
 def slip_angle(steer: float, params: VehicleParams) -> float:

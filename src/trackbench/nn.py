@@ -189,14 +189,6 @@ def grad_list(layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarr
     return [g for pair in layer_grads for g in pair]
 
 
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], alpha: float) -> None:
-    """In-place w <- w - alpha*dw over a parameter list."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be > 0")
-    for p, g in zip(params, grads):
-        p -= alpha * g
-
-
 class AdamState:
     """Adam with bias correction; t increments before each update."""
 

@@ -1,16 +1,20 @@
-"""Closed-loop simulation harness: control-scheme wiring, metrics, logging.
+"""Closed-loop simulation harness: the controller interface, metrics, logging.
 
-Per step: measure tracking errors, run the longitudinal controller (PID on
-speed error by default for every lateral strategy), run the lateral
-controller, derive effective bounds from the coupling scheme, shape and
-clip both channels, step the plant, log.  Runs terminate with exactly one
-of: completed, max_steps, diverged, off_track, end_of_track.
+A controller has reset() and step(ctx) -> (accel, steer), where ctx is the
+run's ControlContext.  Per step the harness measures the COG tracking
+errors, checks for termination, asks the controller for its shaped command,
+derives effective bounds from the coupling scheme, clips both channels to
+them, steps the plant and logs.  Paired builds a controller from a steering
+law and a speed law.  Runs terminate with exactly one of: completed,
+max_steps, diverged, off_track, end_of_track.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Protocol
 
 import numpy as np
 
@@ -86,7 +90,6 @@ class SimConfig:
     model: str = "kinematic"  # kinematic | dynamic
     dt: float = 0.02
     max_steps: int = 20000
-    seed: int = 0
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
     initial: VehicleState | None = None
     off_track_limit: float = 5.0
@@ -157,44 +160,114 @@ def compute_metrics(
 # ------------------------------------------------------------ controllers
 
 
-class LongitudinalPid:
-    """Speed-error PID producing acceleration commands."""
+class ControlContext:
+    """What a controller sees of its run; the harness updates it each step.
 
-    def __init__(self, pid: PidController, shaper: OutputShaper | None = None):
+    `state` is the plant's (x, y, theta, v).  `speed_error` is the reference
+    speed, capped by the coupled speed limit, minus v.  `prev_accel` and
+    `prev_steer` are the previous step's commands after shaping and
+    clamping.  A controller whose reference has run out sets `end_of_track`;
+    the run then ends once the vehicle stops.
+    """
+
+    def __init__(self, track: Track, params: VehicleParams, dt: float):
+        self.track = track
+        self.params = params
+        self.dt = dt
+        self.state = (0.0, 0.0, 0.0, 0.0)
+        self.speed_error = 0.0
+        self.prev_accel = 0.0
+        self.prev_steer = 0.0
+        self.end_of_track = False
+        self._hint: int | None = None
+        self._errors: dict[str, TrackingErrors] = {}
+
+    def advance(self, state: tuple[float, float, float, float]) -> None:
+        self.state = state
+        self._errors.clear()
+
+    def errors(self, frame: str) -> TrackingErrors:
+        """This step's errors at `frame` ('cog', 'front_axle' or
+        'rear_axle'), measured at most once, each query hinted with the
+        latest COG foot point."""
+        errors = self._errors.get(frame)
+        if errors is None:
+            x, y, theta, v = self.state
+            errors = self.track.tracking_errors(
+                VehicleState(x, y, theta, v), frame, self.params, self._hint
+            )
+            if frame == "cog":
+                self._hint = errors.nearest_index
+            self._errors[frame] = errors
+        return errors
+
+
+class Controller(Protocol):
+    """What simulate drives: reset() before a run, then step(ctx) once per
+    control step, returning the shaped (accel, steer) command."""
+
+    def reset(self) -> None: ...
+
+    def step(self, ctx: ControlContext) -> tuple[float, float]: ...
+
+
+class Paired:
+    """One controller from a steering law and a speed law.
+
+    A steering law has reset() and steer(ctx) -> float, a speed law reset()
+    and accel(ctx) -> float.  The speed law runs first.  A non-finite law
+    output raises before shaping, so no shaper can hide it.  Each channel
+    then passes its own shaper, whose deadband reads the speed error
+    (acceleration) or the COG cross-track error (steering).
+    """
+
+    def __init__(self, lateral, longitudinal, lateral_shaper: OutputShaper | None = None,
+                 longitudinal_shaper: OutputShaper | None = None):
+        self.lateral = lateral
+        self.longitudinal = longitudinal
+        self.lateral_shaper = lateral_shaper or OutputShaper()
+        self.longitudinal_shaper = longitudinal_shaper or OutputShaper()
+
+    def reset(self) -> None:
+        self.lateral.reset()
+        self.longitudinal.reset()
+
+    def step(self, ctx: ControlContext) -> tuple[float, float]:
+        accel = self.longitudinal.accel(ctx)
+        steer = self.lateral.steer(ctx)
+        if not (math.isfinite(accel) and math.isfinite(steer)):
+            raise FloatingPointError(f"non-finite command ({accel}, {steer})")
+        accel = self.longitudinal_shaper.shape(accel, ctx.prev_accel, ctx.speed_error, ctx.dt)
+        steer = self.lateral_shaper.shape(
+            steer, ctx.prev_steer, ctx.errors("cog").cross_track, ctx.dt
+        )
+        return accel, steer
+
+
+class LongitudinalPid:
+    """Speed law: PID on the speed error, scheduled on speed."""
+
+    def __init__(self, pid: PidController):
         self.pid = pid
-        self.shaper = shaper or OutputShaper()
 
     def reset(self) -> None:
         self.pid.reset()
 
-    def accel(self, speed_err: float, v: float, dt: float) -> float:
-        return self.pid.step(speed_err, dt, scheduling_value=v)
+    def accel(self, ctx: ControlContext) -> float:
+        return self.pid.step(ctx.speed_error, ctx.dt, scheduling_value=ctx.state[3])
 
 
 class ConstantAccel:
+    """Speed law: a fixed acceleration."""
+
     def __init__(self, value: float = 0.0):
         self.value = value
-        self.shaper = OutputShaper()
 
     def reset(self) -> None:
         pass
 
-    def accel(self, speed_err: float, v: float, dt: float) -> float:
+    def accel(self, ctx: ControlContext) -> float:
         return self.value
-
-
-class MpcAccelPassthrough:
-    """Applies the acceleration channel of an MPC lateral controller."""
-
-    def __init__(self, mpc_lateral: "MpcLateral"):
-        self.mpc = mpc_lateral
-        self.shaper = OutputShaper()
-
-    def reset(self) -> None:
-        pass
-
-    def accel(self, speed_err: float, v: float, dt: float) -> float:
-        return self.mpc.last_accel
 
 
 class BangBangLateral:
@@ -204,117 +277,97 @@ class BangBangLateral:
     (-e_ct), with setpoint 0.
     """
 
-    frame = "cog"
-
-    def __init__(self, u_max: float, scale: float = 0.1, shaper: OutputShaper | None = None):
+    def __init__(self, u_max: float, scale: float = 0.1):
         self.u_max = u_max
         self.scale = scale
-        self.shaper = shaper or OutputShaper()
-        self.end_of_track = False
 
     def reset(self) -> None:
-        self.end_of_track = False
+        pass
 
-    def steer(self, state, errors: TrackingErrors, track: Track, dt: float) -> float:
-        return bang_bang_step(-errors.cross_track, 0.0, self.u_max, -self.u_max, self.scale)
+    def steer(self, ctx: ControlContext) -> float:
+        return bang_bang_step(
+            -ctx.errors("cog").cross_track, 0.0, self.u_max, -self.u_max, self.scale
+        )
 
 
 class PidLateral:
-    frame = "cog"
-
-    def __init__(self, pid: PidController, shaper: OutputShaper | None = None):
+    def __init__(self, pid: PidController):
         self.pid = pid
-        self.shaper = shaper or OutputShaper()
-        self.end_of_track = False
 
     def reset(self) -> None:
         self.pid.reset()
-        self.end_of_track = False
 
-    def steer(self, state, errors: TrackingErrors, track: Track, dt: float) -> float:
-        return self.pid.step(errors.cross_track, dt, scheduling_value=state[3])
+    def steer(self, ctx: ControlContext) -> float:
+        return self.pid.step(ctx.errors("cog").cross_track, ctx.dt, scheduling_value=ctx.state[3])
 
 
 class PurePursuitLateral:
-    frame = "rear_axle"
+    """Chases the lookahead point from the rear axle's foot point."""
 
-    def __init__(self, cfg: PurePursuitConfig, params: VehicleParams,
-                 shaper: OutputShaper | None = None):
+    def __init__(self, cfg: PurePursuitConfig):
         self.cfg = cfg
-        self.params = params
-        self.shaper = shaper or OutputShaper()
-        self.end_of_track = False
-        self._hint: int | None = None
 
     def reset(self) -> None:
-        self.end_of_track = False
-        self._hint = None
+        pass
 
-    def steer(self, state, errors: TrackingErrors, track: Track, dt: float) -> float:
-        x, y, theta, v = state
-        rx = x - self.params.dist_rear * math.cos(theta)
-        ry = y - self.params.dist_rear * math.sin(theta)
+    def steer(self, ctx: ControlContext) -> float:
+        x, y, theta, v = ctx.state
+        params = ctx.params
+        rx = x - params.dist_rear * math.cos(theta)
+        ry = y - params.dist_rear * math.sin(theta)
         d_l = lookahead_distance(self.cfg, v)
-        la = track.lookahead(rx, ry, theta, d_l, self._hint)
-        self._hint = errors.nearest_index
+        la = ctx.track.lookahead(rx, ry, theta, d_l, ctx.errors("rear_axle"))
         if la.end_of_track:
-            self.end_of_track = True
-        return pure_pursuit_steer(self.cfg, la.alpha, v, self.params, d_l)
+            ctx.end_of_track = True
+        return pure_pursuit_steer(self.cfg, la.alpha, v, params, d_l)
 
 
 class StanleyLateral:
-    frame = "front_axle"
-
-    def __init__(self, cfg: StanleyConfig, shaper: OutputShaper | None = None):
+    def __init__(self, cfg: StanleyConfig):
         self.cfg = cfg
-        self.shaper = shaper or OutputShaper()
-        self.end_of_track = False
 
     def reset(self) -> None:
-        self.end_of_track = False
+        pass
 
-    def steer(self, state, errors: TrackingErrors, track: Track, dt: float) -> float:
-        return stanley_steer(self.cfg, errors, state[3])
+    def steer(self, ctx: ControlContext) -> float:
+        return stanley_steer(self.cfg, ctx.errors("front_axle"), ctx.state[3])
 
 
 class MpcLateral:
     """Receding-horizon controller on its own divisor schedule.
 
-    The command recomputes every `tick` sim steps (tick = ts/dt) and holds
-    in between; both channels are produced, the accel channel applies only
-    through MpcAccelPassthrough.
+    It is a law for both channels.  steer() solves every `tick` sim steps
+    (tick = ts/dt) and holds the command in between; accel() reads the held
+    command.  Paired runs the speed law first, so paired with itself
+    ("longitudinal": {"type": "mpc"}) the acceleration of a solve applies
+    from the step after it.
     """
 
-    frame = "cog"
-
-    def __init__(self, cfg: MpcConfig, params: VehicleParams, dt: float,
-                 shaper: OutputShaper | None = None):
+    def __init__(self, cfg: MpcConfig, params: VehicleParams, dt: float):
         tick = max(1, round(cfg.ts / dt))
         if abs(tick * dt - cfg.ts) > 1e-9:
             cfg = replace(cfg, ts=tick * dt)
         self.cfg = cfg
         self.tick = tick
         self.controller = MpcController(cfg, params)
-        self.shaper = shaper or OutputShaper()
-        self.last_accel = 0.0
-        self.last_steer = 0.0
+        self._command = (0.0, 0.0)
         self._stepno = 0
-        self.end_of_track = False
 
     def reset(self) -> None:
         self.controller.reset()
-        self.last_accel = 0.0
-        self.last_steer = 0.0
+        self._command = (0.0, 0.0)
         self._stepno = 0
-        self.end_of_track = False
 
-    def steer(self, state, errors: TrackingErrors, track: Track, dt: float) -> float:
+    def accel(self, ctx: ControlContext) -> float:
+        return self._command[0]
+
+    def steer(self, ctx: ControlContext) -> float:
         if self._stepno % self.tick == 0:
-            self.last_accel, self.last_steer = self.controller.step(state, track)
+            self._command = self.controller.step(ctx.state, ctx.track)
             if self.controller.end_of_track:
-                self.end_of_track = True
+                ctx.end_of_track = True
         self._stepno += 1
-        return self.last_steer
+        return self._command[1]
 
 
 # --------------------------------------------------------------- sim loop
@@ -329,17 +382,58 @@ def _default_initial(track: Track) -> VehicleState:
     )
 
 
+class _Progress:
+    """Arc length driven along the track since the first foot point."""
+
+    def __init__(self, track: Track):
+        self.track = track
+        self.s_start = self.s_prev = None
+        self.driven = self.max_driven = 0.0
+
+    def advance(self, s: float) -> bool:
+        """Move to foot-point arc length s; True once the run is complete."""
+        track = self.track
+        if self.s_start is None:
+            self.s_start = self.s_prev = s
+        ds = s - self.s_prev
+        if track.closed:
+            ds = (ds + 0.5 * track.length) % track.length - 0.5 * track.length
+        self.driven += ds
+        self.s_prev = s
+        self.max_driven = max(self.max_driven, self.driven)
+        return self.driven >= track.length if track.closed else s >= track.length - 1e-6
+
+    def completion(self) -> float:
+        if self.s_start is None:
+            return 0.0
+        # a closed track's length always exceeds the 1e-9 floor
+        span = self.track.length - (0.0 if self.track.closed else self.s_start)
+        return self.max_driven / span if span > 1e-9 else 1.0
+
+
+def _stop_reason(cfg: SimConfig, ctx: ControlContext, progress: _Progress) -> str | None:
+    """Why the run ends at this step before any command, if it does."""
+    v = ctx.state[3]
+    if not all(map(math.isfinite, ctx.state)) or abs(v) > 1e3:
+        return "diverged"
+    errors = ctx.errors("cog")
+    if errors.distance > cfg.off_track_limit:
+        return "off_track"
+    if progress.advance(errors.s):
+        return "completed"
+    if ctx.end_of_track and v < 0.05:
+        return "end_of_track"
+    return None
+
+
 def simulate(
-    cfg: SimConfig,
-    track: Track,
-    params: VehicleParams,
-    lateral,
-    longitudinal,
+    cfg: SimConfig, track: Track, params: VehicleParams, controller: Controller
 ) -> RunRecord:
     dt = cfg.dt
     init = cfg.initial or _default_initial(track)
-    lateral.reset()
-    longitudinal.reset()
+    controller.reset()
+    ctx = ControlContext(track, params, dt)
+    progress = _Progress(track)
 
     dyn: DynamicState | None = None
     if cfg.model == "dynamic":
@@ -352,109 +446,55 @@ def simulate(
     n = 0
     termination = "max_steps"
     lap_time = math.nan
-
-    hint: int | None = None
-    prev_accel = 0.0
-    prev_steer = 0.0
     v_max_eff = cfg.coupling.v_max
-    steer_max_eff = params.steer_max
-    delay: list[tuple[float, float]] = []
-
-    s_start: float | None = None
-    s_prev = 0.0
-    progress = 0.0
-    max_progress = 0.0
+    # commands reach the plant actuator_delay_steps steps late; zeros until then
+    delay = deque([(0.0, 0.0)] * cfg.actuator_delay_steps)
 
     for k in range(cfg.max_steps):
         t = k * dt
+        ctx.advance(state)
+        reason = _stop_reason(cfg, ctx, progress)
+        if reason is not None:
+            termination = reason
+            if reason == "completed":
+                lap_time = t
+            break
+
         x, y, theta, v = state
-        if not all(map(math.isfinite, state)) or abs(v) > 1e3:
-            termination = "diverged"
-            break
-
-        errors = track.tracking_errors(
-            VehicleState(x, y, theta, v), "cog", params, hint
-        )
-        hint = errors.nearest_index
-
-        if errors.distance > cfg.off_track_limit:
-            termination = "off_track"
-            break
-
-        # progress bookkeeping
-        if s_start is None:
-            s_start = errors.s
-            s_prev = errors.s
-        ds = errors.s - s_prev
-        if track.closed:
-            ds = (ds + 0.5 * track.length) % track.length - 0.5 * track.length
-        progress += ds
-        s_prev = errors.s
-        max_progress = max(max_progress, progress)
-
-        if track.closed:
-            if progress >= track.length:
-                termination = "completed"
-                lap_time = t
-                break
-        else:
-            if errors.s >= track.length - 1e-6:
-                termination = "completed"
-                lap_time = t
-                break
-        if getattr(lateral, "end_of_track", False) and v < 0.05:
-            termination = "end_of_track"
-            break
-
-        # controllers; a controller failure must end the run, not raise
-        v_ref_eff = min(errors.speed + v, v_max_eff)  # errors.speed = v_ref - v
+        errors = ctx.errors("cog")
+        ctx.speed_error = min(errors.speed + v, v_max_eff) - v  # errors.speed = v_ref - v
+        # a controller failure must end the run, not raise
         try:
-            accel_raw = longitudinal.accel(v_ref_eff - v, v, dt)
-            if lateral.frame == "cog":
-                ctrl_errors = errors
-            else:
-                ctrl_errors = track.tracking_errors(
-                    VehicleState(x, y, theta, v), lateral.frame, params, hint
-                )
-            steer_raw = lateral.steer(state, ctrl_errors, track, dt)
+            accel, steer = controller.step(ctx)
         except (ValueError, ArithmeticError):
             termination = "diverged"
             break
-        if not (math.isfinite(accel_raw) and math.isfinite(steer_raw)):
+        if not (math.isfinite(accel) and math.isfinite(steer)):
             termination = "diverged"
             break
 
         v_max_eff, steer_max_eff = couple_limits(
-            cfg.coupling, v, steer_raw, cfg.coupling.v_max, params.steer_max
+            cfg.coupling, v, steer, cfg.coupling.v_max, params.steer_max
         )
-
-        accel = longitudinal.shaper.shape(accel_raw, prev_accel, v_ref_eff - v, dt)
         accel = clamp(accel, -params.decel_max, params.accel_max)
-        steer = lateral.shaper.shape(steer_raw, prev_steer, errors.cross_track, dt)
         steer = clamp(steer, -steer_max_eff, steer_max_eff)
-        prev_accel = accel
-        prev_steer = steer
+        ctx.prev_accel = accel
+        ctx.prev_steer = steer
 
-        if cfg.actuator_delay_steps > 0:
-            delay.append((accel, steer))
-            if len(delay) > cfg.actuator_delay_steps:
-                accel_app, steer_app = delay.pop(0)
-            else:
-                accel_app, steer_app = 0.0, 0.0
-        else:
-            accel_app, steer_app = accel, steer
+        delay.append((accel, steer))
+        accel, steer = delay.popleft()
 
-        rows[n] = (t, x, y, theta, v, accel_app, steer_app,
+        rows[n] = (t, x, y, theta, v, accel, steer,
                    errors.cross_track, errors.heading, errors.speed)
         n += 1
 
         # plant step
-        if cfg.model == "dynamic":
-            dyn = dynamic_step(dyn, ControlInput(accel_app, steer_app), dt, params)
+        if dyn is not None:
+            dyn = dynamic_step(dyn, ControlInput(accel, steer), dt, params)
             state = (dyn.x, dyn.y, dyn.theta, dyn.v)
         else:
             state = kernels.kin_step(
-                x, y, theta, v, accel_app, steer_app, dt, params.wheelbase, params.dist_rear
+                x, y, theta, v, accel, steer, dt, params.wheelbase, params.dist_rear
             )
 
     rows = rows[:n]
@@ -463,15 +503,6 @@ def simulate(
         x, y, theta, v = state
         rows = np.array([[0.0, x, y, theta, v, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
-    if s_start is None:
-        completion = 0.0
-    elif track.closed:
-        completion = max_progress / track.length
-    else:
-        denom = track.length - s_start
-        completion = (max_progress / denom) if denom > 1e-9 else 1.0
-    if termination == "completed":
-        completion = 1.0
-
+    completion = 1.0 if termination == "completed" else progress.completion()
     metrics = compute_metrics(rows, dt, completion, lap_time)
     return RunRecord(rows=rows, termination=termination, metrics=metrics)

@@ -68,6 +68,8 @@ class TrackingErrors:
     nearest_index: int
     distance: float
     s: float
+    # parameter of the foot point along segment nearest_index
+    t: float = 0.0
 
 
 class Track:
@@ -130,6 +132,9 @@ class Track:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < len(header):
+                    raise ValueError(f"{path} line {reader.line_num}: expected "
+                                     f"{len(header)} columns, got {len(row)}")
                 xs.append(float(row[0]))
                 ys.append(float(row[1]))
                 if len(header) == 3:
@@ -253,21 +258,25 @@ class Track:
         py: float,
         heading: float,
         d_l: float,
-        hint: int | None = None,
+        foot: TrackingErrors | None = None,
     ) -> LookaheadResult:
         """First forward intersection of the radius-d_l circle with the track.
 
-        Searched from the nearest point onward.  If the track never enters
-        the circle the nearest forward waypoint beyond it substitutes
-        (flagged fallback); if a finite track is exhausted the final
-        waypoint is returned with end_of_track set.
+        Searched onward from the foot point of `foot` (errors already
+        measured at (px, py)), or of a global nearest query without it.  If
+        the track never enters the circle the nearest forward waypoint beyond
+        it substitutes (flagged fallback); if a finite track is exhausted the
+        final waypoint is returned with end_of_track set.
         """
         if not d_l > 0.0:
             raise ValueError(f"lookahead distance must be > 0, got {d_l}")
-        near = self.nearest(px, py, hint)
+        if foot is None:
+            near = self.nearest(px, py)
+            start, t_lo = near.index, near.t
+        else:
+            start, t_lo = foot.nearest_index, foot.t
 
-        seg = near.index
-        t_lo = near.t
+        seg = start
         for _ in range(self.nseg):
             ax, ay = self.point_on_segment(seg, 0.0)
             j = self.seg_end_index(seg)
@@ -302,7 +311,7 @@ class Track:
         # beyond the circle) or a finite track ran out inside the circle
         # (clamp to the final waypoint and signal end-of-track).
         for k in range(self.npts):
-            idx = (near.index + 1 + k) % self.npts if self.closed else near.index + 1 + k
+            idx = (start + 1 + k) % self.npts if self.closed else start + 1 + k
             if idx >= self.npts:
                 break
             wx = float(self.xs[idx])
@@ -356,6 +365,7 @@ class Track:
             nearest_index=near.index,
             distance=near.distance,
             s=near.s,
+            t=near.t,
         )
 
 

@@ -51,8 +51,8 @@ from trackbench.sim import (
     BangBangLateral,
     CouplingConfig,
     LongitudinalPid,
-    MpcAccelPassthrough,
     MpcLateral,
+    Paired,
     PidLateral,
     PurePursuitLateral,
     SimConfig,
@@ -223,7 +223,7 @@ def test_criterion_4_controller_ladder(bench_track, params):
 
     def run(lateral, longitudinal=None):
         cfg = SimConfig(initial=start())
-        return simulate(cfg, track, params, lateral, longitudinal or speed_pid())
+        return simulate(cfg, track, params, Paired(lateral, longitudinal or speed_pid()))
 
     def rms(rec):
         e = rec.column("e_ct")
@@ -241,7 +241,7 @@ def test_criterion_4_controller_ladder(bench_track, params):
     pid_rms = rms(pid)
     assert pid_rms < 0.6
 
-    pp = run(PurePursuitLateral(PurePursuitConfig(), params))
+    pp = run(PurePursuitLateral(PurePursuitConfig()))
     assert pp.termination == "completed"
     pp_rms = rms(pp)
     assert pp_rms < 0.3
@@ -261,7 +261,7 @@ def test_criterion_4_controller_ladder(bench_track, params):
     assert worst_heading < 0.05
 
     mpc_lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), params, dt=0.02)
-    mpc = run(mpc_lat, MpcAccelPassthrough(mpc_lat))
+    mpc = run(mpc_lat, mpc_lat)
     assert mpc.termination == "completed"
     mpc_rms = rms(mpc)
     assert mpc_rms < 0.15
@@ -322,8 +322,8 @@ def test_criterion_6_behavioral_cloning(bench_track, params):
     obs, labels, expert = collect_expert_dataset(bench_track, params)
     obs, labels = balance_dataset(obs, labels, rng=np.random.default_rng(0))
     policy, history = clone_behavior(obs, labels, steer_max=params.steer_max, seed=0)
-    rec = simulate(SimConfig(), bench_track, params, policy,
-                   LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0))))
+    rec = simulate(SimConfig(), bench_track, params,
+                   Paired(policy, LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0)))))
     assert rec.termination == "completed"
     clone_rms = rec.metrics.rms_cross_track
     expert_rms = expert.metrics.rms_cross_track

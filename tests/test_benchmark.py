@@ -75,6 +75,12 @@ def test_suite_requires_grid_keys(tmp_path):
         run_suite({"controllers": [], "tracks": []}, tmp_path)
 
 
+def test_suite_names_unknown_key(tmp_path):
+    for key in ("seed", "speed"):
+        with pytest.raises(ConfigError, match=key):
+            run_suite({**TINY_SUITE, key: 0}, tmp_path)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

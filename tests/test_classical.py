@@ -9,11 +9,9 @@ from trackbench.classical import (
     PidController,
     PidGains,
     bang_bang_step,
-    schedule_gains,
-    shape_output,
 )
 from trackbench.models import VehicleParams, VehicleState
-from trackbench.sim import BangBangLateral, LongitudinalPid, PidLateral, SimConfig, simulate
+from trackbench.sim import BangBangLateral, LongitudinalPid, Paired, PidLateral, SimConfig, simulate
 from trackbench.track import straight_track
 
 
@@ -120,13 +118,13 @@ def test_pid_scheduled_gains_switch_with_speed():
 def test_schedule_interval_rules():
     g5, g15 = PidGains(kp=5.0), PidGains(kp=15.0)
     sched = GainSchedule([(5.0, g5), (15.0, g15)])
-    assert schedule_gains(sched, 10.0) is g5
-    assert schedule_gains(sched, 2.0) is g5       # clamp below first breakpoint
-    assert schedule_gains(sched, 15.0) is g15     # lower-bound inclusive
-    assert schedule_gains(sched, 99.0) is g15
+    assert sched.gains_at(10.0) is g5
+    assert sched.gains_at(2.0) is g5       # clamp below first breakpoint
+    assert sched.gains_at(15.0) is g15     # lower-bound inclusive
+    assert sched.gains_at(99.0) is g15
     single = GainSchedule([(3.0, g5)])
-    assert schedule_gains(single, -100.0) is g5
-    assert schedule_gains(single, 100.0) is g5
+    assert single.gains_at(-100.0) is g5
+    assert single.gains_at(100.0) is g5
 
 
 def test_schedule_validation():
@@ -145,8 +143,8 @@ def test_shape_identity_region():
 
 def test_shape_slew_limit_hand_value():
     sh = OutputShaper(max_rate=2.0)
-    assert shape_output(sh, 1.0, 0.0, 1.0, 0.1) == pytest.approx(0.2, rel=1e-12)
-    assert shape_output(sh, -1.0, 0.0, 1.0, 0.1) == pytest.approx(-0.2, rel=1e-12)
+    assert sh.shape(1.0, 0.0, 1.0, 0.1) == pytest.approx(0.2, rel=1e-12)
+    assert sh.shape(-1.0, 0.0, 1.0, 0.1) == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_shape_deadband_zeroes_output():
@@ -189,7 +187,7 @@ def test_bang_bang_chatters_on_straight_track():
     init = VehicleState(x=0.0, y=0.4, theta=0.0, v=8.0)
     lat = BangBangLateral(params.steer_max, scale=0.1)
     lon = LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0)))
-    rec = simulate(SimConfig(initial=init), track, params, lat, lon)
+    rec = simulate(SimConfig(initial=init), track, params, Paired(lat, lon))
     steer = rec.column("steer")
     sgn = np.sign(steer[np.abs(steer) > 1e-12])
     flips = int(np.sum(sgn[1:] != sgn[:-1]))
@@ -205,7 +203,7 @@ def test_pid_lateral_regulates_one_meter_offset():
     init = VehicleState(x=0.0, y=1.0, theta=0.0, v=10.0)
     lat = PidLateral(PidController(PidGains(0.5, 0.1, 0.15)))
     lon = LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0)))
-    rec = simulate(SimConfig(initial=init), track, params, lat, lon)
+    rec = simulate(SimConfig(initial=init), track, params, Paired(lat, lon))
     assert rec.termination == "completed"
     e = np.abs(rec.column("e_ct"))
     first_dip = int(np.nonzero(e < 0.05)[0][0])

@@ -46,6 +46,16 @@ def test_simulate_track_csv_override(tmp_path):
     assert code == 0
 
 
+def test_simulate_track_csv_short_row_is_config_error(tmp_path, capsys):
+    track_path = tmp_path / "short.csv"
+    track_path.write_text("x,y,v_ref\n0,0\n10,0,5\n")
+    cfg = write_cfg(tmp_path, {k: v for k, v in SIM_CFG.items() if k != "track"})
+    code = main(["simulate", "--config", cfg, "--track", str(track_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_simulate_missing_track_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {k: v for k, v in SIM_CFG.items() if k != "track"})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -192,6 +202,18 @@ def test_evolve_init_policy_round_trip(tmp_path):
         "eval_episodes": 1,
     })
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "evo.bin")]) == 0
+
+
+@pytest.mark.parametrize("command,key", [
+    ("train-bc", "epoch"), ("train-ppo", "iteration"), ("evolve", "generation")])
+def test_trainer_unknown_key_is_config_error(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path, {
+        "track": {"kind": "circle", "radius": 20.0, "v_ref": 6.0},
+        key: 5,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "p.bin").exists()
 
 
 def test_bad_init_policy_is_config_error(tmp_path, capsys):

@@ -21,7 +21,6 @@ from trackbench.sim import (
     BangBangLateral,
     ConstantAccel,
     LongitudinalPid,
-    MpcAccelPassthrough,
     MpcLateral,
     PidLateral,
     PurePursuitLateral,
@@ -89,6 +88,13 @@ def test_build_track_names_unknown_key(tmp_path):
                  {"kind": "csv", "path": str(csv_path)}):
         with pytest.raises(ConfigError, match="bogus"):
             build_track({**spec, "name": "t", "bogus": 1})
+
+
+def test_build_track_csv_short_row_is_config_error(tmp_path):
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("x,y,v_ref\n0,0\n10,0,5\n")
+    with pytest.raises(ConfigError, match=r"short\.csv line 2"):
+        build_track({"kind": "csv", "path": str(csv_path)})
 
 
 def test_build_track_rejections():
@@ -160,7 +166,7 @@ def test_build_mpc_config_nested_sections():
         "weights": {"pos": 2.0},
         "bounds": {"steer_max_deg": 20.0, "accel_min": -4.0},
         "opt": {"max_iter": 30},
-    }, dt=0.02)
+    })
     assert cfg.ts == 0.1
     assert cfg.weights.pos == 2.0
     assert cfg.weights.head == 3.0  # untouched default
@@ -168,13 +174,13 @@ def test_build_mpc_config_nested_sections():
     assert cfg.bounds.accel_min == -4.0
     assert cfg.opt.max_iter == 30
     with pytest.raises(ConfigError):
-        build_mpc_config({"weights": {"position": 1.0}}, dt=0.02)
+        build_mpc_config({"weights": {"position": 1.0}})
     with pytest.raises(ConfigError):
-        build_mpc_config({"p": 2, "m": 5}, dt=0.02)
+        build_mpc_config({"p": 2, "m": 5})
     # the solver reads neither a tolerance nor a seed
     for key in ("tol", "seed"):
         with pytest.raises(ConfigError, match=key):
-            build_mpc_config({"opt": {key: 1}}, dt=0.02)
+            build_mpc_config({"opt": {key: 1}})
 
 
 def test_build_longitudinal_variants(params):
@@ -183,8 +189,7 @@ def test_build_longitudinal_variants(params):
     assert isinstance(build_longitudinal({"type": "none", "value": 0.5}, params, lat),
                       ConstantAccel)
     mpc_lat = build_lateral({"type": "mpc"}, params, 0.02)
-    assert isinstance(build_longitudinal({"type": "mpc"}, params, mpc_lat),
-                      MpcAccelPassthrough)
+    assert build_longitudinal({"type": "mpc"}, params, mpc_lat) is mpc_lat
     with pytest.raises(ConfigError):
         build_longitudinal({"type": "mpc"}, params, lat)
     with pytest.raises(ConfigError):
@@ -211,7 +216,8 @@ def test_build_run_assembles_everything():
         "initial": {"y": 0.5, "v": 8.0},
         "lateral": {"type": "stanley"},
     }
-    sim_cfg, params, lateral, longitudinal = build_run(cfg, track)
+    sim_cfg, params, controller = build_run(cfg, track)
+    lateral, longitudinal = controller.lateral, controller.longitudinal
     assert sim_cfg.dt == 0.05
     assert sim_cfg.max_steps == 500
     assert sim_cfg.initial.y == 0.5
@@ -221,3 +227,21 @@ def test_build_run_assembles_everything():
         build_run({"lateral": {"type": "stanley"}, "steps": 5}, track)
     with pytest.raises(ConfigError):
         build_run({"dt": 0.05}, track)
+
+
+def test_build_run_rejects_seed():
+    # the simulation draws no random numbers, so a seed would be ignored
+    track = straight_track(100.0, spacing=1.0, v_ref=8.0)
+    with pytest.raises(ConfigError, match="seed"):
+        build_run({"lateral": {"type": "stanley"}, "seed": 0}, track)
+
+
+def test_build_run_pairs_mpc_with_itself_only_on_request():
+    track = straight_track(100.0, spacing=1.0, v_ref=8.0)
+    _, _, both = build_run({"lateral": {"type": "mpc"}, "longitudinal": {"type": "mpc"}}, track)
+    assert isinstance(both.lateral, MpcLateral) and both.longitudinal is both.lateral
+    _, _, steer_only = build_run({"lateral": {"type": "mpc"}}, track)
+    assert isinstance(steer_only.longitudinal, LongitudinalPid)
+    for lon in ({"type": "none", "valu": 1.0}, {"type": "mpc", "shaper": {}}):
+        with pytest.raises(ConfigError, match="valu|shaper"):
+            build_run({"lateral": {"type": "mpc"}, "longitudinal": lon}, track)

@@ -14,6 +14,7 @@ from trackbench.geometric import (
 from trackbench.models import VehicleParams, VehicleState
 from trackbench.sim import (
     LongitudinalPid,
+    Paired,
     PurePursuitLateral,
     SimConfig,
     StanleyLateral,
@@ -142,14 +143,14 @@ def test_stanley_config_validation():
 def _closed_loop_rms(lateral, track, params):
     init = VehicleState(x=track.xs[0], y=track.ys[0] + 0.3, theta=0.0, v=8.0)
     lon = LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0)))
-    rec = simulate(SimConfig(initial=init), track, params, lateral, lon)
+    rec = simulate(SimConfig(initial=init), track, params, Paired(lateral, lon))
     assert rec.termination in ("completed", "end_of_track")
     e = rec.column("e_ct")
     return float(np.sqrt(np.mean(e * e)))
 
 
 def test_pure_pursuit_completes_racetrack(bench_track, params):
-    rms = _closed_loop_rms(PurePursuitLateral(PurePursuitConfig(), params), bench_track, params)
+    rms = _closed_loop_rms(PurePursuitLateral(PurePursuitConfig()), bench_track, params)
     assert rms < 0.30
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trackbench import kernels
-from trackbench.models import VehicleParams
+from trackbench.models import VehicleParams, slip_angle
 from trackbench.mpc import MpcConfig, stage_cost
 
 
@@ -35,7 +35,7 @@ def test_kin_step_matches_slip_formula():
     for _ in range(200):
         v = float(rng.uniform(0.1, 25.0))
         steer = float(rng.uniform(-0.6, 0.6))
-        beta = kernels.kin_slip(steer, 1.25, 2.5)
+        beta = slip_angle(steer, VehicleParams(wheelbase=2.5, dist_rear=1.25))
         assert beta == pytest.approx(math.atan(0.5 * math.tan(steer)), rel=1e-12)
         x, y, theta, _ = kernels.kin_step(0.0, 0.0, 0.0, v, 0.0, steer, 0.01, 2.5, 1.25)
         assert x == pytest.approx(v * math.cos(beta) * 0.01, rel=1e-12)

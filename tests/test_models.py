@@ -263,14 +263,3 @@ def test_vehicle_params_validation():
         VehicleParams(dist_rear=3.0, wheelbase=2.5)  # lr must stay below L
     with pytest.raises(ValueError):
         VehicleParams(mass=0.0)
-
-
-def test_clamp_control_respects_bounds():
-    p = VehicleParams(accel_max=3.0, decel_max=6.0, steer_max=0.6)
-    from trackbench.models import clamp_control
-    u = clamp_control(ControlInput(accel=10.0, steer=-2.0), p)
-    assert u.accel == 3.0
-    assert u.steer == -0.6
-    u = clamp_control(ControlInput(accel=-20.0, steer=2.0), p)
-    assert u.accel == -6.0
-    assert u.steer == 0.6

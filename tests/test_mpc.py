@@ -357,7 +357,7 @@ def test_latency_compensation_recovers_tracking(bench_track, params):
     # 4 sim steps of actuator delay at dt = Ts: the compensated controller
     # forward-simulates through the queued commands and keeps tracking tight
     from trackbench.models import VehicleState
-    from trackbench.sim import MpcAccelPassthrough, MpcLateral, SimConfig, simulate
+    from trackbench.sim import MpcLateral, Paired, SimConfig, simulate
 
     rms = {}
     for latency in (0, 4):
@@ -366,7 +366,7 @@ def test_latency_compensation_recovers_tracking(bench_track, params):
         init = VehicleState(x=bench_track.xs[0], y=bench_track.ys[0] + 0.3, theta=0.0, v=8.0)
         rec = simulate(
             SimConfig(dt=0.05, initial=init, actuator_delay_steps=4),
-            bench_track, params, lat, MpcAccelPassthrough(lat),
+            bench_track, params, Paired(lat, lat),
         )
         assert rec.termination == "completed"
         e = rec.column("e_ct")

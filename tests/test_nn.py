@@ -13,7 +13,6 @@ from trackbench.nn import (
     loss,
     loss_grad,
     save_mlp,
-    sgd_step,
 )
 
 
@@ -156,25 +155,6 @@ def test_backward_matches_finite_differences():
             numeric = _fd_gradient(net, x, y)
             err = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))
             assert err < 1e-5
-
-
-def test_sgd_hand_value():
-    p = [np.array([1.0])]
-    sgd_step(p, [np.array([2.0])], 0.1)
-    assert p[0][0] == pytest.approx(0.8, rel=1e-12)
-
-
-def test_sgd_zero_gradient_is_identity(rng):
-    p = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-    before = [q.copy() for q in p]
-    sgd_step(p, [np.zeros((3, 2)), np.zeros(3)], 0.5)
-    for q, b in zip(p, before):
-        assert np.array_equal(q, b)
-
-
-def test_sgd_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        sgd_step([np.array([1.0])], [np.array([1.0])], 0.0)
 
 
 def test_adam_first_step_magnitude(rng):

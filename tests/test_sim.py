@@ -11,6 +11,7 @@ from trackbench.sim import (
     ConstantAccel,
     CouplingConfig,
     LongitudinalPid,
+    Paired,
     PidLateral,
     SimConfig,
     StanleyLateral,
@@ -121,7 +122,7 @@ def test_zero_speed_start_times_out(params):
     track = straight_track(50.0, spacing=1.0, v_ref=0.0)
     init = VehicleState(x=0.0, y=0.0, theta=0.0, v=0.0)
     cfg = SimConfig(max_steps=50, initial=init)
-    rec = simulate(cfg, track, params, StanleyLateral(StanleyConfig()), ConstantAccel(0.0))
+    rec = simulate(cfg, track, params, Paired(StanleyLateral(StanleyConfig()), ConstantAccel(0.0)))
     assert rec.termination == "max_steps"
     assert rec.metrics.completion == pytest.approx(0.0, abs=1e-9)
     assert rec.rows.shape[0] == 50
@@ -131,7 +132,7 @@ def test_termination_names_stay_in_taxonomy(params, bench_track):
     for limit, steps in ((5.0, 200), (0.05, 200)):
         init = VehicleState(x=bench_track.xs[0], y=bench_track.ys[0] + 0.3, theta=0.0, v=8.0)
         cfg = SimConfig(max_steps=steps, off_track_limit=limit, initial=init)
-        rec = simulate(cfg, bench_track, params, StanleyLateral(StanleyConfig()), speed_pid())
+        rec = simulate(cfg, bench_track, params, Paired(StanleyLateral(StanleyConfig()), speed_pid()))
         assert rec.termination in TERMINATIONS
 
 
@@ -140,16 +141,13 @@ def test_off_track_exit(params):
     init = VehicleState(x=0.0, y=4.9, theta=1.2, v=8.0)
 
     class HardLeft:
-        frame = "cog"
-        def __init__(self):
-            from trackbench.classical import OutputShaper
-            self.shaper = OutputShaper()
         def reset(self):
             pass
-        def steer(self, state, errors, track, dt):
+        def steer(self, ctx):
             return 0.6
 
-    rec = simulate(SimConfig(off_track_limit=5.0), track, params, HardLeft(), ConstantAccel(0.5))
+    rec = simulate(SimConfig(off_track_limit=5.0), track, params,
+                   Paired(HardLeft(), ConstantAccel(0.5)))
     assert rec.termination == "off_track"
     assert rec.metrics.completion < 1.0
 
@@ -158,20 +156,17 @@ def test_controller_exception_ends_run_as_diverged(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
 
     class Brittle:
-        frame = "cog"
         def __init__(self):
-            from trackbench.classical import OutputShaper
-            self.shaper = OutputShaper()
             self.calls = 0
         def reset(self):
             self.calls = 0
-        def steer(self, state, errors, track, dt):
+        def steer(self, ctx):
             self.calls += 1
             if self.calls > 5:
                 raise ValueError("gains blew up")
             return 0.0
 
-    rec = simulate(SimConfig(), track, params, Brittle(), speed_pid())
+    rec = simulate(SimConfig(), track, params, Paired(Brittle(), speed_pid()))
     assert rec.termination == "diverged"
     assert rec.rows.shape[0] == 5
 
@@ -180,16 +175,12 @@ def test_nonfinite_command_ends_run_as_diverged(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
 
     class NanSteer:
-        frame = "cog"
-        def __init__(self):
-            from trackbench.classical import OutputShaper
-            self.shaper = OutputShaper()
         def reset(self):
             pass
-        def steer(self, state, errors, track, dt):
+        def steer(self, ctx):
             return float("nan")
 
-    rec = simulate(SimConfig(), track, params, NanSteer(), speed_pid())
+    rec = simulate(SimConfig(), track, params, Paired(NanSteer(), speed_pid()))
     assert rec.termination == "diverged"
 
 
@@ -197,7 +188,7 @@ def test_actuator_delay_logs_queue_warmup(params):
     track = straight_track(200.0, spacing=1.0, v_ref=8.0)
     init = VehicleState(x=0.0, y=1.0, theta=0.0, v=8.0)
     cfg = SimConfig(initial=init, actuator_delay_steps=3, max_steps=50)
-    rec = simulate(cfg, track, params, StanleyLateral(StanleyConfig()), speed_pid())
+    rec = simulate(cfg, track, params, Paired(StanleyLateral(StanleyConfig()), speed_pid()))
     assert np.all(rec.column("steer")[:3] == 0.0)
     assert np.all(rec.column("accel")[:3] == 0.0)
     assert np.any(rec.column("steer")[3:] != 0.0)
@@ -207,7 +198,7 @@ def test_long_dominant_coupling_tightens_logged_steering(params, bench_track):
     coupling = CouplingConfig(mode="long_dominant", c_speed=8.0)
     init = VehicleState(x=bench_track.xs[0], y=bench_track.ys[0] + 0.3, theta=0.0, v=8.0)
     cfg = SimConfig(initial=init, coupling=coupling, max_steps=4000)
-    rec = simulate(cfg, bench_track, params, StanleyLateral(StanleyConfig()), speed_pid())
+    rec = simulate(cfg, bench_track, params, Paired(StanleyLateral(StanleyConfig()), speed_pid()))
     v = rec.column("v")
     steer = np.abs(rec.column("steer"))
     limit = params.steer_max * coupling.c_speed / (coupling.c_speed + np.maximum(v, 0.0))
@@ -218,7 +209,7 @@ def test_stanley_regression_on_both_models(params, bench_track):
     init = VehicleState(x=bench_track.xs[0], y=bench_track.ys[0] + 0.3, theta=0.0, v=8.0)
     for model in ("kinematic", "dynamic"):
         rec = simulate(SimConfig(model=model, initial=init), bench_track, params,
-                       StanleyLateral(StanleyConfig()), speed_pid())
+                       Paired(StanleyLateral(StanleyConfig()), speed_pid()))
         assert rec.termination == "completed"
         e = rec.column("e_ct")
         assert float(np.sqrt(np.mean(e * e))) < 0.30
@@ -228,7 +219,7 @@ def test_stanley_regression_on_both_models(params, bench_track):
 def test_log_columns_and_csv_header(tmp_path, params):
     track = straight_track(60.0, spacing=1.0, v_ref=8.0)
     rec = simulate(SimConfig(max_steps=100), track, params,
-                   PidLateral(PidController(PidGains(0.5, 0.1, 0.15))), speed_pid())
+                   Paired(PidLateral(PidController(PidGains(0.5, 0.1, 0.15))), speed_pid()))
     assert LOG_HEADER == "t,x,y,theta,v,accel,steer,e_ct,e_head,e_v"
     assert rec.rows.shape[1] == 10
     assert np.array_equal(rec.column("t"), rec.rows[:, 0])
@@ -245,7 +236,7 @@ def test_log_columns_and_csv_header(tmp_path, params):
 def test_time_column_uses_dt(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     rec = simulate(SimConfig(dt=0.05, max_steps=20), track, params,
-                   StanleyLateral(StanleyConfig()), speed_pid())
+                   Paired(StanleyLateral(StanleyConfig()), speed_pid()))
     assert np.allclose(rec.column("t"), 0.05 * np.arange(rec.rows.shape[0]), atol=1e-12)
 
 
@@ -254,7 +245,7 @@ def test_completion_fraction_monotone_with_budget(params, bench_track):
     done = []
     for steps in (300, 900):
         cfg = SimConfig(max_steps=steps, initial=init)
-        rec = simulate(cfg, bench_track, params, StanleyLateral(StanleyConfig()), speed_pid())
+        rec = simulate(cfg, bench_track, params, Paired(StanleyLateral(StanleyConfig()), speed_pid()))
         assert rec.termination == "max_steps"
         done.append(rec.metrics.completion)
     assert 0.0 < done[0] < done[1] < 1.0

@@ -221,6 +221,26 @@ def test_from_csv_rejects_bad_header(tmp_path):
         Track.from_csv(path)
 
 
+def test_from_csv_names_file_and_line_of_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x,y,v_ref\n0,0\n10,0,5\n")
+    with pytest.raises(ValueError, match=r"short\.csv line 2: expected 3 columns, got 2"):
+        Track.from_csv(path)
+
+
+def test_lookahead_from_measured_foot_point_matches_fresh_query(bench_track, params):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        s = float(rng.uniform(0.0, bench_track.length))
+        px, py = bench_track.point_at_s(s)
+        px += float(rng.normal(0.0, 0.5))
+        py += float(rng.normal(0.0, 0.5))
+        heading = float(rng.uniform(-math.pi, math.pi))
+        foot = bench_track.tracking_errors(VehicleState(px, py, heading, 8.0), "cog", params)
+        assert (bench_track.lookahead(px, py, heading, 6.0, foot)
+                == bench_track.lookahead(px, py, heading, 6.0))
+
+
 def test_from_waypoints_builder():
     t = Track.from_waypoints(
         [Waypoint(0.0, 0.0, 3.0), Waypoint(5.0, 0.0, 4.0), Waypoint(10.0, 0.0, 5.0)])
