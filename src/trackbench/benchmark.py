@@ -13,7 +13,7 @@ import math
 import os
 from importlib import resources
 
-from .config import ConfigError, _take, build_run, build_track, load_json
+from .config import ConfigError, _pick, _take, build_run, build_track, load_json
 from .sim import simulate
 from .track import Track
 
@@ -53,18 +53,26 @@ def _speed_track(spec: dict, speed: float) -> Track:
     return build_track(spec)
 
 
+# the run-config keys a suite sets for all its cells, and those a controller
+# entry sets for its own; a key left out takes the run-config default
+_SUITE_RUN_KEYS = ("model", "dt", "max_steps", "vehicle", "coupling")
+_ENTRY_RUN_KEYS = ("dt", "lateral", "longitudinal")
+
+
+def _controller_name(spec, index: int) -> str:
+    """An entry's name, else its lateral type, else its place in the suite."""
+    try:
+        return spec.get("name") or spec["lateral"]["type"]
+    except (AttributeError, KeyError, TypeError):
+        return f"controllers[{index}]"
+
+
 def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float):
     """One (controller, track, speed) simulation; returns (record, track)."""
-    run_cfg = {
-        "model": suite.get("model", "kinematic"),
-        "dt": controller_spec.get("dt", suite.get("dt", 0.02)),
-        "max_steps": suite.get("max_steps", 30000),
-        "lateral": controller_spec["lateral"],
-        "longitudinal": controller_spec.get("longitudinal"),
-        "vehicle": suite.get("vehicle"),
-        "coupling": suite.get("coupling"),
-    }
-    run_cfg = {k: v for k, v in run_cfg.items() if v is not None}
+    _take(controller_spec, ("name", *_ENTRY_RUN_KEYS), "suite controller entry")
+    if "lateral" not in controller_spec:
+        raise ConfigError("suite controller entry needs a 'lateral' section")
+    run_cfg = {**_pick(suite, _SUITE_RUN_KEYS), **_pick(controller_spec, _ENTRY_RUN_KEYS)}
     track = _speed_track(track_spec, speed)
     sim_cfg, params, controller = build_run(run_cfg, track)
     record = simulate(sim_cfg, track, params, controller)
@@ -73,15 +81,14 @@ def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float)
 
 def run_suite(suite: dict, out_dir) -> list[dict]:
     """Run every cell, write per-cell logs and summary.csv under out_dir."""
-    _take(suite, {"name", "model", "dt", "max_steps", "speeds", "tracks", "controllers",
-                  "vehicle", "coupling"}, "suite config")
+    _take(suite, ("name", "speeds", "tracks", "controllers", *_SUITE_RUN_KEYS), "suite config")
     for key in ("controllers", "tracks", "speeds"):
         if key not in suite:
             raise ConfigError(f"suite config needs a {key!r} list")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for controller_spec in suite["controllers"]:
-        cname = controller_spec.get("name") or controller_spec["lateral"]["type"]
+    for index, controller_spec in enumerate(suite["controllers"]):
+        cname = _controller_name(controller_spec, index)
         for track_spec in suite["tracks"]:
             tname = track_spec.get("name") or track_spec["kind"]
             for speed in suite["speeds"]:

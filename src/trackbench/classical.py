@@ -44,6 +44,10 @@ class PidGains:
                 raise ValueError(f"{name} must be finite and >= 0, got {g}")
 
 
+# default gains of the speed PID that holds the reference speed
+SPEED_PID_GAINS = PidGains(kp=1.2, ki=0.1)
+
+
 @dataclass
 class GainSchedule:
     """Piecewise-constant gains over a scheduling variable (typically speed).

@@ -10,7 +10,9 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, _take, build_track, build_vehicle, load_json
+import numpy as np
+
+from .config import ConfigError, _pick, _take, build_section, build_track, build_vehicle, load_json
 from .mpc import design_params
 from .track import Track
 
@@ -85,24 +87,33 @@ def _policy_out_paths(out: str) -> tuple[str, str]:
     return out, base + "_log.csv"
 
 
-def _env_setup(args, keys: set, where: str):
+# The keys each trainer passes on to a callee, whose signature holds their
+# defaults.  'seed' also seeds the trainer's other random draws.
+_EXPERT_KEYS = ("dt", "max_steps")  # collect_expert_dataset
+_BALANCE_KEYS = ("zero_thresh", "zero_cap")  # balance_dataset
+_CLONE_KEYS = ("hidden", "epochs", "batch", "alpha", "seed")  # clone_behavior
+_PPO_KEYS = ("iterations", "episodes_per_iter", "epochs", "eps_clip", "alpha", "sigma",
+             "seed")  # train_ppo
+_EVOLVE_KEYS = ("population", "generations", "sigma", "eval_episodes", "seed")  # evolve_policy
+
+
+def _rng(cfg: dict) -> np.random.Generator:
+    return np.random.default_rng(cfg.get("seed", 0))
+
+
+def _env_setup(args, keys: tuple, where: str):
     """Config, lane-keeping env, starting policy and output paths of
     train-ppo and evolve."""
     from .learning import EnvConfig, LaneKeepEnv, Policy
-    import numpy as np
 
     cfg = load_json(args.config)
-    _take(cfg, keys | {"track", "vehicle", "env", "seed", "init_policy", "hidden"}, where)
+    _take(cfg, ("track", "vehicle", "env", "init_policy", "hidden", *keys), where)
     track, params = _track_and_vehicle(cfg)
-    env_spec = cfg.get("env", {})
-    _take(env_spec, {"v_ref", "dt", "max_steps", "off_track", "cross_weight",
-                     "crash_penalty", "start_offset", "start_heading"}, "env")
-    env = LaneKeepEnv(track, params, EnvConfig(**env_spec))
+    env = LaneKeepEnv(track, params, build_section(EnvConfig, cfg.get("env"), "env"))
     policy_path, log_path = _policy_out_paths(args.out)
     path = cfg.get("init_policy")
     if path is None:
-        policy = Policy(steer_max=params.steer_max, hidden=tuple(cfg.get("hidden", [32, 32])),
-                        rng=np.random.default_rng(cfg.get("seed", 0)))
+        policy = Policy(steer_max=params.steer_max, rng=_rng(cfg), **_pick(cfg, ("hidden",)))
         return cfg, env, policy, policy_path, log_path
     try:
         return cfg, env, Policy.load(path, steer_max=params.steer_max), policy_path, log_path
@@ -112,25 +123,17 @@ def _env_setup(args, keys: set, where: str):
 
 def cmd_train_bc(args) -> int:
     from .learning import balance_dataset, clone_behavior, collect_expert_dataset
-    import numpy as np
 
     cfg = load_json(args.config)
-    _take(cfg, {"track", "vehicle", "seed", "dt", "max_steps", "zero_thresh", "zero_cap",
-                "hidden", "epochs", "batch", "alpha"}, "train-bc config")
+    _take(cfg, ("track", "vehicle", *_EXPERT_KEYS, *_BALANCE_KEYS, *_CLONE_KEYS),
+          "train-bc config")
     track, params = _track_and_vehicle(cfg)
     policy_path, log_path = _policy_out_paths(args.out)
-    seed = cfg.get("seed", 0)
 
-    obs, labels, expert = collect_expert_dataset(
-        track, params, dt=cfg.get("dt", 0.02), max_steps=cfg.get("max_steps", 40000))
-    obs, labels = balance_dataset(
-        obs, labels, zero_thresh=cfg.get("zero_thresh", 0.02),
-        zero_cap=cfg.get("zero_cap", 0.5), rng=np.random.default_rng(seed))
-    policy, history = clone_behavior(
-        obs, labels, steer_max=params.steer_max,
-        hidden=tuple(cfg.get("hidden", [32, 32])), epochs=cfg.get("epochs", 60),
-        batch=cfg.get("batch", 64), alpha=cfg.get("alpha", 1e-3), seed=seed,
-        log_path=log_path)
+    obs, labels, expert = collect_expert_dataset(track, params, **_pick(cfg, _EXPERT_KEYS))
+    obs, labels = balance_dataset(obs, labels, rng=_rng(cfg), **_pick(cfg, _BALANCE_KEYS))
+    policy, history = clone_behavior(obs, labels, steer_max=params.steer_max, log_path=log_path,
+                                     **_pick(cfg, _CLONE_KEYS))
     policy.save(policy_path)
     print(f"expert rms_cross_track: {expert.metrics.rms_cross_track:.6g}")
     print(f"dataset size after balancing: {labels.size}")
@@ -142,16 +145,9 @@ def cmd_train_bc(args) -> int:
 def cmd_train_ppo(args) -> int:
     from .learning import evaluate_policy, train_ppo
 
-    cfg, env, policy, policy_path, log_path = _env_setup(
-        args, {"iterations", "episodes_per_iter", "epochs", "eps_clip", "alpha", "sigma"},
-        "train-ppo config")
+    cfg, env, policy, policy_path, log_path = _env_setup(args, _PPO_KEYS, "train-ppo config")
     r0, e0 = evaluate_policy(env, policy)
-    policy, history = train_ppo(
-        env, policy, iterations=cfg.get("iterations", 600),
-        episodes_per_iter=cfg.get("episodes_per_iter", 8),
-        epochs=cfg.get("epochs", 4), eps_clip=cfg.get("eps_clip", 0.2),
-        alpha=cfg.get("alpha", 3e-4), sigma=cfg.get("sigma"), seed=cfg.get("seed", 0),
-        log_path=log_path)
+    policy, history = train_ppo(env, policy, log_path=log_path, **_pick(cfg, _PPO_KEYS))
     r1, e1 = evaluate_policy(env, policy)
     policy.save(policy_path)
     print(f"mean reward before: {r0:.6g} after: {r1:.6g}")
@@ -163,13 +159,9 @@ def cmd_train_ppo(args) -> int:
 def cmd_evolve(args) -> int:
     from .learning import evaluate_policy, evolve_policy
 
-    cfg, env, policy, policy_path, log_path = _env_setup(
-        args, {"population", "generations", "sigma", "eval_episodes"}, "evolve config")
-    policy, best_f, history = evolve_policy(
-        env, policy, population=cfg.get("population", 12),
-        generations=cfg.get("generations", 15), sigma=cfg.get("sigma", 0.05),
-        seed=cfg.get("seed", 0), eval_episodes=cfg.get("eval_episodes", 2),
-        log_path=log_path)
+    cfg, env, policy, policy_path, log_path = _env_setup(args, _EVOLVE_KEYS, "evolve config")
+    policy, best_f, history = evolve_policy(env, policy, log_path=log_path,
+                                            **_pick(cfg, _EVOLVE_KEYS))
     reward, err = evaluate_policy(env, policy)
     policy.save(policy_path)
     print(f"best training fitness: {best_f:.6g}")

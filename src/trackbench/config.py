@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import fields, replace
 
-from .classical import GainSchedule, OutputShaper, PidController, PidGains
+from .classical import SPEED_PID_GAINS, GainSchedule, OutputShaper, PidController, PidGains
 from .geometric import PurePursuitConfig, StanleyConfig
 from .models import VehicleParams, VehicleState
 from .mpc import MpcBounds, MpcConfig, MpcWeights, OptSettings
@@ -47,24 +47,54 @@ def load_json(path) -> dict:
     return data
 
 
-def _take(spec: dict, allowed: set, where: str) -> None:
-    unknown = set(spec) - allowed
+# Steering limits, in radians; each may also be given in degrees as <name>_deg.
+_ANGLES = ("steer_max", "u_max", "delta_max")
+
+
+def _take(spec, keys, where: str) -> dict:
+    """Check `spec`'s keys against `keys` (plus `<angle>_deg` for each
+    steering limit among them); return a copy with degrees made radians."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    degrees = {name + "_deg" for name in _ANGLES if name in keys}
+    unknown = set(spec) - set(keys) - degrees
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    spec = dict(spec)
+    for name in _ANGLES:
+        deg = name + "_deg"
+        if deg not in spec:
+            continue
+        if name in spec:
+            raise ConfigError(f"{where} gives both {name!r} and {deg!r}")
+        try:
+            spec[name] = math.radians(spec.pop(deg))
+        except TypeError as exc:
+            raise ConfigError(f"bad {where}: {deg}: {exc}") from exc
+    return spec
+
+
+def _pick(spec: dict, keys) -> dict:
+    """The `keys` that `spec` sets, as keyword arguments for a callee whose
+    signature holds the defaults."""
+    return {k: spec[k] for k in keys if k in spec}
+
+
+def build_section(cls, spec: dict | None, where: str, **derived):
+    """Build dataclass `cls` from a config section.
+
+    The section's keys are the field names.  A field the section leaves out
+    takes its value from `derived`, else the class default.
+    """
+    spec = _take(spec or {}, [f.name for f in fields(cls)], where)
+    try:
+        return cls(**{**derived, **spec})
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def build_vehicle(spec: dict | None) -> VehicleParams:
-    if not spec:
-        return VehicleParams()
-    names = {f.name for f in fields(VehicleParams)} | {"steer_max_deg"}
-    _take(spec, names, "vehicle")
-    spec = dict(spec)
-    if "steer_max_deg" in spec:
-        spec["steer_max"] = math.radians(spec.pop("steer_max_deg"))
-    try:
-        return replace(VehicleParams(), **spec)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad vehicle parameters: {exc}") from exc
+    return build_section(VehicleParams, spec, "vehicle")
 
 
 # track kind -> (builder, the keys it takes besides 'kind' and 'name')
@@ -94,122 +124,74 @@ def build_track(spec: dict) -> Track:
 
 
 def build_shaper(spec: dict | None) -> OutputShaper:
-    if not spec:
-        return OutputShaper()
-    _take(spec, {"out_min", "out_max", "max_rate", "deadband"}, "shaper")
-    try:
-        return OutputShaper(
-            out_min=spec.get("out_min", -math.inf),
-            out_max=spec.get("out_max", math.inf),
-            max_rate=spec.get("max_rate", math.inf),
-            deadband=spec.get("deadband", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad shaper: {exc}") from exc
+    return build_section(OutputShaper, spec, "shaper")
 
 
-def _build_pid(spec: dict, where: str) -> PidController:
-    allowed = {"type", "kp", "ki", "kd", "schedule", "integral_clamp",
-               "buffer_len", "d_filter", "shaper"}
-    _take(spec, allowed, where)
+# PidController's keyword options; its signature holds their defaults
+_PID_OPTIONS = ("integral_clamp", "buffer_len", "d_filter")
+_GAINS = tuple(f.name for f in fields(PidGains))
+
+
+def _schedule_row(row, where: str) -> tuple[float, PidGains]:
+    gains = _take(row, ("at", *_GAINS), f"{where} schedule row")
+    if "at" not in gains:
+        raise ConfigError(f"{where} schedule row needs an 'at' key")
+    return gains.pop("at"), build_section(PidGains, gains, f"{where} schedule row")
+
+
+def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidController:
+    """A PID from its section; fixed gains it leaves out keep `gains`."""
+    spec = _take(spec, ("type", "shaper", "schedule", *_GAINS, *_PID_OPTIONS), where)
     try:
         if "schedule" in spec:
-            entries = [
-                (row["at"], PidGains(row.get("kp", 0.0), row.get("ki", 0.0), row.get("kd", 0.0)))
-                for row in spec["schedule"]
-            ]
-            gains = GainSchedule(entries)
+            gains = GainSchedule([_schedule_row(row, where) for row in spec["schedule"]])
         else:
-            gains = PidGains(spec.get("kp", 0.0), spec.get("ki", 0.0), spec.get("kd", 0.0))
-        return PidController(
-            gains,
-            integral_clamp=spec.get("integral_clamp", 10.0),
-            buffer_len=spec.get("buffer_len", 1000),
-            d_filter=spec.get("d_filter", 0.0),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
+            gains = replace(gains, **_pick(spec, _GAINS))
+        return PidController(gains, **_pick(spec, _PID_OPTIONS))
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
-def _steer_limit(spec: dict, params: VehicleParams) -> float:
-    if "delta_max_deg" in spec:
-        return math.radians(spec["delta_max_deg"])
-    return params.steer_max
+def _law(spec: dict) -> dict:
+    """A lateral section without the keys build_lateral and build_run read."""
+    return {k: v for k, v in spec.items() if k not in ("type", "shaper")}
 
 
 def build_mpc_config(spec: dict) -> MpcConfig:
-    allowed = {"type", "ts", "p", "m", "weights", "bounds", "opt",
-               "latency_steps", "shaper"}
-    _take(spec, allowed, "mpc")
-    w = spec.get("weights", {})
-    _take(w, {"pos", "head", "vel", "d_accel", "d_steer"}, "mpc.weights")
-    b = dict(spec.get("bounds", {}))
-    _take(b, {"accel_min", "accel_max", "steer_max", "steer_max_deg",
-              "accel_rate", "steer_rate", "v_max", "soft_penalty"}, "mpc.bounds")
-    if "steer_max_deg" in b:
-        b["steer_max"] = math.radians(b.pop("steer_max_deg"))
-    o = spec.get("opt", {})
-    _take(o, {"max_iter"}, "mpc.opt")
-    try:
-        return MpcConfig(
-            ts=spec.get("ts", 0.05),
-            p=spec.get("p", 20),
-            m=spec.get("m", 4),
-            weights=replace(MpcWeights(), **w),
-            bounds=replace(MpcBounds(), **b),
-            opt=replace(OptSettings(), **o),
-            latency_steps=spec.get("latency_steps", 0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad mpc config: {exc}") from exc
+    law = _law(spec)
+    for name, cls in (("weights", MpcWeights), ("bounds", MpcBounds), ("opt", OptSettings)):
+        law[name] = build_section(cls, law.get(name), f"mpc.{name}")
+    return build_section(MpcConfig, law, "mpc")
 
 
 def build_lateral(spec: dict, params: VehicleParams, dt: float):
-    """The steering law of a lateral spec; its 'shaper' is built by build_run."""
+    """The steering law of a lateral spec; its 'shaper' is built by build_run.
+    Every law but the MPC takes the vehicle's steering limit unless it sets
+    its own."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("lateral spec needs a 'type' key")
     kind = spec["type"]
-    try:
-        if kind == "bang_bang":
-            _take(spec, {"type", "scale", "u_max", "u_max_deg", "shaper"}, "bang_bang")
-            u_max = spec.get("u_max", params.steer_max)
-            if "u_max_deg" in spec:
-                u_max = math.radians(spec["u_max_deg"])
-            return BangBangLateral(u_max, spec.get("scale", 0.1))
-        if kind == "pid":
-            return PidLateral(_build_pid(spec, "lateral pid"))
-        if kind == "pure_pursuit":
-            _take(spec, {"type", "k_v", "d_l_min", "d_l_max", "d_l_fixed",
-                         "delta_max_deg", "shaper"}, "pure_pursuit")
-            cfg = PurePursuitConfig(
-                k_v=spec.get("k_v", 0.5),
-                d_l_min=spec.get("d_l_min", 2.0),
-                d_l_max=spec.get("d_l_max", 20.0),
-                delta_max=_steer_limit(spec, params),
-                d_l_fixed=spec.get("d_l_fixed"),
-            )
-            return PurePursuitLateral(cfg)
-        if kind == "stanley":
-            _take(spec, {"type", "k_delta", "k_s", "k_d", "delta_max_deg",
-                         "shaper"}, "stanley")
-            cfg = StanleyConfig(
-                k_delta=spec.get("k_delta", 4.0),
-                k_s=spec.get("k_s", 1.0),
-                k_d=spec.get("k_d", 1.0),
-                delta_max=_steer_limit(spec, params),
-            )
-            return StanleyLateral(cfg)
-        if kind == "mpc":
-            return MpcLateral(build_mpc_config(spec), params, dt)
-        if kind == "policy":
-            from .learning import Policy
+    law = _law(spec)
+    if kind == "bang_bang":
+        return build_section(BangBangLateral, law, "bang_bang", u_max=params.steer_max)
+    if kind == "pid":
+        return PidLateral(_build_pid(spec, "lateral pid"))
+    if kind == "pure_pursuit":
+        return PurePursuitLateral(build_section(
+            PurePursuitConfig, law, "pure_pursuit", delta_max=params.steer_max))
+    if kind == "stanley":
+        return StanleyLateral(build_section(
+            StanleyConfig, law, "stanley", delta_max=params.steer_max))
+    if kind == "mpc":
+        return MpcLateral(build_mpc_config(spec), params, dt)
+    if kind == "policy":
+        from .learning import Policy
 
-            _take(spec, {"type", "path", "delta_max_deg", "shaper"}, "policy")
-            return Policy.load(spec["path"], steer_max=_steer_limit(spec, params))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        raise ConfigError(f"bad lateral config ({kind}): {exc}") from exc
+        law = _take(law, ("path", "delta_max"), "policy")
+        try:
+            return Policy.load(law["path"], steer_max=law.get("delta_max", params.steer_max))
+        except (KeyError, ValueError, TypeError, OSError) as exc:
+            raise ConfigError(f"bad lateral config (policy): {exc}") from exc
     raise ConfigError(f"unknown lateral type {kind!r}")
 
 
@@ -220,12 +202,12 @@ def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
         spec = {"type": "pid"}
     kind = spec.get("type", "pid")
     if kind == "pid":
-        return LongitudinalPid(_build_pid({**{"kp": 1.2, "ki": 0.1}, **spec}, "longitudinal pid"))
+        return LongitudinalPid(_build_pid(spec, "longitudinal pid", SPEED_PID_GAINS))
     if kind == "none":
-        _take(spec, {"type", "value"}, "longitudinal none")
-        return ConstantAccel(spec.get("value", 0.0))
+        spec = _take(spec, ("type", "value"), "longitudinal none")
+        return ConstantAccel(**_pick(spec, ("value",)))
     if kind == "mpc":
-        _take(spec, {"type"}, "longitudinal mpc")
+        _take(spec, ("type",), "longitudinal mpc")
         if not isinstance(lateral, MpcLateral):
             raise ConfigError("longitudinal type 'mpc' requires an mpc lateral controller")
         return lateral
@@ -233,52 +215,31 @@ def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
 
 
 def build_coupling(spec: dict | None) -> CouplingConfig:
-    if not spec:
-        return CouplingConfig()
-    names = {f.name for f in fields(CouplingConfig)}
-    _take(spec, names, "coupling")
-    try:
-        return replace(CouplingConfig(), **spec)
-    except ValueError as exc:
-        raise ConfigError(f"bad coupling config: {exc}") from exc
+    return build_section(CouplingConfig, spec, "coupling")
 
 
 def build_initial(spec: dict | None) -> VehicleState | None:
-    if not spec:
-        return None
-    _take(spec, {"x", "y", "theta", "v"}, "initial")
-    return VehicleState(
-        x=spec.get("x", 0.0), y=spec.get("y", 0.0),
-        theta=spec.get("theta", 0.0), v=spec.get("v", 0.0),
-    )
+    """The start state, or None (start on the track) for an empty section."""
+    return build_section(VehicleState, spec, "initial") if spec else None
+
+
+# run-config sections that are not SimConfig fields
+_RUN_SECTIONS = ("vehicle", "lateral", "longitudinal", "track")
 
 
 def build_run(cfg: dict, track: Track):
     """Assemble (SimConfig, VehicleParams, controller) from a
     simulate-config dict."""
-    allowed = {"model", "dt", "max_steps", "vehicle", "coupling",
-               "lateral", "longitudinal", "initial", "off_track_limit",
-               "actuator_delay_steps", "track"}
-    _take(cfg, allowed, "run config")
+    sim_spec = {k: v for k, v in cfg.items() if k not in _RUN_SECTIONS}
+    sim_spec["coupling"] = build_coupling(cfg.get("coupling"))
+    sim_spec["initial"] = build_initial(cfg.get("initial"))
+    sim_cfg = build_section(SimConfig, sim_spec, "run config")
     params = build_vehicle(cfg.get("vehicle"))
-    dt = cfg.get("dt", 0.02)
-    try:
-        sim_cfg = SimConfig(
-            model=cfg.get("model", "kinematic"),
-            dt=dt,
-            max_steps=cfg.get("max_steps", 20000),
-            coupling=build_coupling(cfg.get("coupling")),
-            initial=build_initial(cfg.get("initial")),
-            off_track_limit=cfg.get("off_track_limit", 5.0),
-            actuator_delay_steps=cfg.get("actuator_delay_steps", 0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad sim config: {exc}") from exc
     if "lateral" not in cfg:
         raise ConfigError("run config needs a 'lateral' section")
     lat_spec = cfg["lateral"]
     lon_spec = cfg.get("longitudinal")
-    lateral = build_lateral(lat_spec, params, dt)
+    lateral = build_lateral(lat_spec, params, sim_cfg.dt)
     longitudinal = build_longitudinal(lon_spec, params, lateral)
     controller = Paired(lateral, longitudinal, build_shaper(lat_spec.get("shaper")),
                         build_shaper((lon_spec or {}).get("shaper")))

@@ -32,6 +32,8 @@ class PurePursuitConfig:
             raise ValueError("need 0 < d_l_min <= d_l_max")
         if self.d_l_fixed is not None and not self.d_l_fixed > 0.0:
             raise ValueError("d_l_fixed must be > 0")
+        if not self.delta_max > 0.0:
+            raise ValueError("delta_max must be > 0")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class StanleyConfig:
             raise ValueError("k_s must be > 0")
         if self.k_d < 0.0:
             raise ValueError("k_d must be >= 0")
+        if not self.delta_max > 0.0:
+            raise ValueError("delta_max must be > 0")
 
 
 def lookahead_distance(cfg: PurePursuitConfig, v_f: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .classical import PidController, PidGains
+from .classical import SPEED_PID_GAINS, PidController
 from .models import VehicleParams, VehicleState
 from .nn import (AdamState, Mlp, adam_step, grad_list, load_mlp, loss,
                  loss_grad, save_mlp)
@@ -64,6 +64,8 @@ class Policy:
             raise ValueError("policy network must map OBS_DIM features to 1 output")
         if mlp.activations[-1] != "tanh":
             raise ValueError("policy network must end in tanh")
+        if not steer_max > 0.0:
+            raise ValueError(f"steer_max must be > 0, got {steer_max}")
         self.mlp = mlp
         self.steer_max = steer_max
         # exploration noise scale used when sampling actions during training
@@ -123,7 +125,7 @@ def collect_expert_dataset(track: Track, params: VehicleParams, *,
         init = VehicleState(x0, y0, kernels.wrap_angle(tangent0 + dheading),
                             float(track.v_ref[0]))
         controller = Paired(StanleyLateral(StanleyConfig(delta_max=params.steer_max)),
-                            LongitudinalPid(PidController(PidGains(1.2, 0.1, 0.0))))
+                            LongitudinalPid(PidController(SPEED_PID_GAINS)))
         cfg = SimConfig(dt=dt, max_steps=max_steps, initial=init)
         record = simulate(cfg, track, params, controller)
         if record.termination not in ("completed", "end_of_track"):
@@ -207,6 +209,17 @@ class EnvConfig:
     start_offset: float = 1.0   # max lateral spawn offset, m
     start_heading: float = 0.2  # max heading spawn error, rad
 
+    def __post_init__(self) -> None:
+        if not self.dt > 0.0:
+            raise ValueError("dt must be > 0")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        if not self.off_track > 0.0:
+            raise ValueError("off_track must be > 0")
+        for name in ("v_ref", "start_offset", "start_heading", "cross_weight", "crash_penalty"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 class LaneKeepEnv:
     """Lane-keeping episode: fixed reference speed held by an internal PID,
@@ -217,7 +230,7 @@ class LaneKeepEnv:
         self.track = track
         self.params = params
         self.cfg = cfg
-        self._pid = PidController(PidGains(1.2, 0.1, 0.0))
+        self._pid = PidController(SPEED_PID_GAINS)
         self._state = (0.0, 0.0, 0.0, cfg.v_ref)
         self._hint: int | None = None
         self._steps = 0

@@ -223,7 +223,6 @@ def dynamic_step(
     u: ControlInput,
     dt: float,
     params: VehicleParams,
-    jerk: float = 0.0,
 ) -> DynamicState:
     """Second-order transition of the consolidated dynamic model.
 
@@ -265,7 +264,7 @@ def dynamic_step(
     ay_g = ddx_body * sin_t + ddy_body * cos_t
 
     h = 0.5 * dt * dt
-    new_v = state.v + ddx_body * dt + jerk * h
+    new_v = state.v + ddx_body * dt
     new_lat = state.lat_vel + ddy_body * dt
     return DynamicState(
         x=state.x + vx_g * dt + ax_g * h,

@@ -270,6 +270,7 @@ class ConstantAccel:
         return self.value
 
 
+@dataclass(frozen=True)
 class BangBangLateral:
     """Relay steering on the lateral offset.
 
@@ -277,9 +278,14 @@ class BangBangLateral:
     (-e_ct), with setpoint 0.
     """
 
-    def __init__(self, u_max: float, scale: float = 0.1):
-        self.u_max = u_max
-        self.scale = scale
+    u_max: float
+    scale: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not self.u_max > 0.0:
+            raise ValueError("u_max must be > 0")
+        if not self.scale > 0.0:
+            raise ValueError("scale must be > 0")
 
     def reset(self) -> None:
         pass

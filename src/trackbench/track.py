@@ -30,13 +30,6 @@ _HINT_FORWARD = 80
 _HINT_TRUST_DIST = 6.0
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    x: float
-    y: float
-    v_ref: float
-
-
 @dataclass
 class NearestPoint:
     x: float
@@ -108,12 +101,6 @@ class Track:
         self._curvature = self._waypoint_curvature()
 
     # ------------------------------------------------------------------ io
-
-    @classmethod
-    def from_waypoints(cls, points: list[Waypoint], closed: bool = False) -> "Track":
-        return cls(
-            [p.x for p in points], [p.y for p in points], [p.v_ref for p in points], closed
-        )
 
     @classmethod
     def from_csv(cls, path, closed: bool = False, v_ref: float | None = None) -> "Track":

@@ -6,10 +6,12 @@ from trackbench.benchmark import (
     SUMMARY_HEADER,
     load_suite,
     reference_suite,
+    run_cell,
     run_suite,
     write_summary,
 )
 from trackbench.config import ConfigError
+from trackbench.sim import SimConfig
 
 TINY_SUITE = {
     "dt": 0.02,
@@ -116,3 +118,27 @@ def test_write_summary_formats_nan(tmp_path):
     write_summary(rows, path)
     lines = path.read_text().splitlines()
     assert lines[1] == "x,y,5,nan,nan,nan,nan,nan,nan,nan,error"
+
+
+@pytest.mark.parametrize("entry,name,key", [
+    ({"name": "typo", "lateral": {"type": "stanley"}, "dtt": 0.5}, "typo", "dtt"),
+    ({"name": "no_lateral", "longitudinal": {"type": "none"}}, "no_lateral", "lateral"),
+    ({"dt": 0.05}, "controllers[0]", "lateral"),
+], ids=["unknown_key", "no_lateral", "no_name_no_lateral"])
+def test_bad_controller_entry_is_error_cell(tmp_path, entry, name, key):
+    suite = {**TINY_SUITE, "controllers": [entry, TINY_SUITE["controllers"][0]]}
+    rows = run_suite(suite, tmp_path)
+    assert [r["controller"] for r in rows] == [name, "stanley"]
+    assert rows[0]["termination"] == "error"
+    assert rows[0]["error"].startswith("ConfigError") and key in rows[0]["error"]
+    assert rows[1]["termination"] == "completed"
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1].endswith(",error")
+
+
+def test_suite_omitted_keys_take_run_config_defaults(monkeypatch):
+    import trackbench.benchmark as benchmark
+
+    monkeypatch.setattr(benchmark, "simulate", lambda cfg, track, params, controller: cfg)
+    sim_cfg, _ = run_cell({}, {"lateral": {"type": "stanley"}},
+                          {"kind": "straight", "length": 50.0}, 8.0)
+    assert sim_cfg == SimConfig()

@@ -197,6 +197,12 @@ def test_bang_bang_chatters_on_straight_track():
     assert np.any(late[1:] != late[:-1])
 
 
+def test_bang_bang_lateral_needs_positive_limit_and_scale():
+    for u_max, scale in ((-0.2, 0.1), (0.0, 0.1), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="must be > 0"):
+            BangBangLateral(u_max, scale=scale)
+
+
 def test_pid_lateral_regulates_one_meter_offset():
     track = straight_track(300.0, spacing=1.0, v_ref=10.0)
     params = VehicleParams()

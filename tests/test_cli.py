@@ -224,3 +224,30 @@ def test_bad_init_policy_is_config_error(tmp_path, capsys):
         "init_policy": str(bad),
     })
     assert main(["train-ppo", "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+
+
+@pytest.mark.parametrize("lateral", [
+    {"type": "bang_bang", "u_max": -0.2},
+    {"type": "bang_bang", "u_max_deg": 0.0},
+    {"type": "stanley", "delta_max_deg": -10.0},
+    {"type": "pure_pursuit", "delta_max_deg": 0.0},
+], ids=str)
+def test_simulate_non_positive_steering_limit_exits_1(tmp_path, capsys, lateral):
+    cfg = write_cfg(tmp_path, dict(SIM_CFG, lateral=lateral))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train-ppo", "evolve"])
+@pytest.mark.parametrize("env,key", [
+    ({"dt": 0}, "dt"), ({"max_steps": 0}, "max_steps"), ({"off_track": -1}, "off_track")])
+def test_invalid_env_is_config_error(tmp_path, capsys, command, env, key):
+    cfg = write_cfg(tmp_path, {
+        "track": {"kind": "circle", "radius": 20.0, "v_ref": 6.0},
+        "env": env,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+    err = capsys.readouterr().err
+    assert "env" in err and key in err
+    assert not (tmp_path / "p.bin").exists()

@@ -4,26 +4,34 @@ import math
 import numpy as np
 import pytest
 
+from trackbench.classical import OutputShaper, PidGains
 from trackbench.config import (
     ConfigError,
     build_coupling,
+    build_initial,
     build_lateral,
     build_longitudinal,
     build_mpc_config,
     build_run,
+    build_section,
     build_shaper,
     build_track,
     build_vehicle,
     load_json,
 )
-from trackbench.models import VehicleParams
+from trackbench.geometric import PurePursuitConfig, StanleyConfig
+from trackbench.learning import EnvConfig, Policy
+from trackbench.models import VehicleParams, VehicleState
+from trackbench.mpc import MpcConfig
 from trackbench.sim import (
     BangBangLateral,
     ConstantAccel,
+    CouplingConfig,
     LongitudinalPid,
     MpcLateral,
     PidLateral,
     PurePursuitLateral,
+    SimConfig,
     StanleyLateral,
 )
 from trackbench.track import straight_track
@@ -245,3 +253,86 @@ def test_build_run_pairs_mpc_with_itself_only_on_request():
     for lon in ({"type": "none", "valu": 1.0}, {"type": "mpc", "shaper": {}}):
         with pytest.raises(ConfigError, match="valu|shaper"):
             build_run({"lateral": {"type": "mpc"}, "longitudinal": lon}, track)
+
+
+# a vehicle whose steering limit differs from every class default, so a law
+# that derives its limit from the vehicle shows it
+NARROW = VehicleParams(steer_max=0.3)
+STRAIGHT = straight_track(100.0, spacing=1.0, v_ref=8.0)
+
+
+@pytest.mark.parametrize("built,expected", [
+    (lambda: build_vehicle({}), VehicleParams()),
+    (lambda: build_coupling({}), CouplingConfig()),
+    (lambda: build_shaper({}), OutputShaper()),
+    (lambda: build_section(VehicleState, {}, "initial"), VehicleState()),
+    (lambda: build_run({"lateral": {"type": "stanley"}}, STRAIGHT)[0], SimConfig()),
+    (lambda: build_mpc_config({}), MpcConfig()),
+    (lambda: build_section(PidGains, {}, "schedule row"), PidGains()),
+    (lambda: build_section(EnvConfig, {}, "env"), EnvConfig()),
+    (lambda: build_lateral({"type": "bang_bang"}, NARROW, 0.02),
+     BangBangLateral(u_max=NARROW.steer_max)),
+    (lambda: build_lateral({"type": "pure_pursuit"}, NARROW, 0.02).cfg,
+     PurePursuitConfig(delta_max=NARROW.steer_max)),
+    (lambda: build_lateral({"type": "stanley"}, NARROW, 0.02).cfg,
+     StanleyConfig(delta_max=NARROW.steer_max)),
+], ids=["vehicle", "coupling", "shaper", "initial", "sim", "mpc", "schedule_row", "env",
+        "bang_bang", "pure_pursuit", "stanley"])
+def test_empty_section_builds_class_default(built, expected):
+    assert built() == expected
+
+
+def test_empty_initial_section_starts_on_track():
+    assert build_initial({}) is None
+    assert build_initial(None) is None
+
+
+@pytest.mark.parametrize("build,limit", [
+    (lambda s: build_vehicle(s), "steer_max"),
+    (lambda s: build_mpc_config({"bounds": s}), "steer_max"),
+    (lambda s: build_lateral({"type": "bang_bang", **s}, NARROW, 0.02), "u_max"),
+    (lambda s: build_lateral({"type": "pure_pursuit", **s}, NARROW, 0.02), "delta_max"),
+    (lambda s: build_lateral({"type": "stanley", **s}, NARROW, 0.02), "delta_max"),
+    (lambda s: build_lateral({"type": "policy", "path": "p.bin", **s}, NARROW, 0.02),
+     "delta_max"),
+], ids=["vehicle", "mpc.bounds", "bang_bang", "pure_pursuit", "stanley", "policy"])
+def test_steering_limit_given_twice_is_config_error(build, limit):
+    with pytest.raises(ConfigError, match=f"both '{limit}' and '{limit}_deg'"):
+        build({limit: 0.2, limit + "_deg": 10.0})
+
+
+def test_geometric_steering_limit_in_radians_or_degrees():
+    for kind in ("pure_pursuit", "stanley"):
+        rad = build_lateral({"type": kind, "delta_max": math.radians(20.0)}, NARROW, 0.02)
+        deg = build_lateral({"type": kind, "delta_max_deg": 20.0}, NARROW, 0.02)
+        assert rad.cfg == deg.cfg
+        assert rad.cfg.delta_max == math.radians(20.0)
+
+
+@pytest.mark.parametrize("lateral", [
+    {"type": "bang_bang", "u_max": -0.2},
+    {"type": "bang_bang", "u_max_deg": 0.0},
+    {"type": "bang_bang", "scale": 0.0},
+    {"type": "pure_pursuit", "delta_max_deg": -10.0},
+    {"type": "pure_pursuit", "delta_max_deg": 0.0},
+    {"type": "stanley", "delta_max_deg": -10.0},
+    {"type": "stanley", "delta_max_deg": 0.0},
+], ids=str)
+def test_non_positive_steering_limit_is_config_error(lateral):
+    key = next(k for k in lateral if k != "type").removesuffix("_deg")
+    with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+        build_lateral(lateral, VehicleParams(), 0.02)
+
+
+def test_policy_non_positive_steering_limit_is_config_error(tmp_path):
+    path = tmp_path / "policy.bin"
+    Policy(hidden=(4,), rng=np.random.default_rng(0)).save(path)
+    with pytest.raises(ConfigError, match="steer_max must be > 0"):
+        build_lateral({"type": "policy", "path": str(path), "delta_max_deg": 0.0},
+                      VehicleParams(), 0.02)
+
+
+def test_pid_schedule_row_keys_checked(params):
+    for row, key in (({"at": 0.0, "kpp": 1.0}, "kpp"), ({"kp": 1.0}, "at")):
+        with pytest.raises(ConfigError, match=key):
+            build_lateral({"type": "pid", "schedule": [row]}, params, 0.02)

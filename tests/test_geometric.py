@@ -92,6 +92,13 @@ def test_pure_pursuit_config_validation():
         PurePursuitConfig(d_l_fixed=-1.0)
 
 
+@pytest.mark.parametrize("config", [PurePursuitConfig, StanleyConfig])
+def test_steering_limit_must_be_positive(config):
+    for delta_max in (0.0, -math.radians(10.0)):
+        with pytest.raises(ValueError, match="delta_max"):
+            config(delta_max=delta_max)
+
+
 ST = StanleyConfig(k_delta=2.5, k_s=1.0, k_d=1.0, delta_max=math.radians(35.0))
 
 

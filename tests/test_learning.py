@@ -306,3 +306,18 @@ def test_append_training_log_appends_without_second_header(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1] == ["0", "1.5", "4"]
     assert rows[2] == ["1", "0.75", "4"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dt", 0.0), ("max_steps", 0), ("off_track", 0.0), ("v_ref", -1.0),
+    ("start_offset", -0.1), ("start_heading", -0.1), ("cross_weight", -0.1),
+    ("crash_penalty", -1.0)])
+def test_env_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        EnvConfig(**{field: value})
+
+
+def test_policy_rejects_non_positive_steer_max():
+    for steer_max in (0.0, -0.2):
+        with pytest.raises(ValueError, match="steer_max"):
+            Policy(steer_max=steer_max, hidden=(4,), rng=np.random.default_rng(0))

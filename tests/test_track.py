@@ -6,7 +6,6 @@ import pytest
 from trackbench.models import VehicleParams, VehicleState
 from trackbench.track import (
     Track,
-    Waypoint,
     circle_track,
     racetrack,
     straight_track,
@@ -239,13 +238,6 @@ def test_lookahead_from_measured_foot_point_matches_fresh_query(bench_track, par
         foot = bench_track.tracking_errors(VehicleState(px, py, heading, 8.0), "cog", params)
         assert (bench_track.lookahead(px, py, heading, 6.0, foot)
                 == bench_track.lookahead(px, py, heading, 6.0))
-
-
-def test_from_waypoints_builder():
-    t = Track.from_waypoints(
-        [Waypoint(0.0, 0.0, 3.0), Waypoint(5.0, 0.0, 4.0), Waypoint(10.0, 0.0, 5.0)])
-    assert t.npts == 3
-    assert t.length == pytest.approx(10.0)
 
 
 def test_straight_track_geometry():
