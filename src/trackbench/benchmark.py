@@ -67,6 +67,13 @@ def _controller_name(spec, index: int) -> str:
         return f"controllers[{index}]"
 
 
+def _track_name(spec, index: int) -> str:
+    name = (spec.get("name") or spec.get("kind")) if isinstance(spec, dict) else None
+    if not name:
+        raise ConfigError(f"suite tracks[{index}] needs a 'name' or a 'kind'")
+    return name
+
+
 def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float):
     """One (controller, track, speed) simulation; returns (record, track)."""
     _take(controller_spec, ("name", *_ENTRY_RUN_KEYS), "suite controller entry")
@@ -85,12 +92,12 @@ def run_suite(suite: dict, out_dir) -> list[dict]:
     for key in ("controllers", "tracks", "speeds"):
         if key not in suite:
             raise ConfigError(f"suite config needs a {key!r} list")
+    tnames = [_track_name(spec, i) for i, spec in enumerate(suite["tracks"])]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for index, controller_spec in enumerate(suite["controllers"]):
         cname = _controller_name(controller_spec, index)
-        for track_spec in suite["tracks"]:
-            tname = track_spec.get("name") or track_spec["kind"]
+        for track_spec, tname in zip(suite["tracks"], tnames):
             for speed in suite["speeds"]:
                 row = {"controller": cname, "track": tname, "speed": float(speed)}
                 try:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ConfigError, _pick, _take, build_section, build_track, build_vehicle, load_json
 from .mpc import design_params
+from .sim import SimConfig
 from .track import Track
 
 
@@ -108,6 +109,9 @@ def _env_setup(args, keys: tuple, where: str):
 
     cfg = load_json(args.config)
     _take(cfg, ("track", "vehicle", "env", "init_policy", "hidden", *keys), where)
+    if cfg.get("init_policy") is not None and "hidden" in cfg:
+        raise ConfigError(f"{where} gives both 'init_policy' and 'hidden'; "
+                          "the loaded network sets its own layer sizes")
     track, params = _track_and_vehicle(cfg)
     env = LaneKeepEnv(track, params, build_section(EnvConfig, cfg.get("env"), "env"))
     policy_path, log_path = _policy_out_paths(args.out)
@@ -127,6 +131,8 @@ def cmd_train_bc(args) -> int:
     cfg = load_json(args.config)
     _take(cfg, ("track", "vehicle", *_EXPERT_KEYS, *_BALANCE_KEYS, *_CLONE_KEYS),
           "train-bc config")
+    # collect_expert_dataset passes these to SimConfig; check them before any run
+    build_section(SimConfig, _pick(cfg, _EXPERT_KEYS), "train-bc config")
     track, params = _track_and_vehicle(cfg)
     policy_path, log_path = _policy_out_paths(args.out)
 

@@ -142,6 +142,9 @@ def _schedule_row(row, where: str) -> tuple[float, PidGains]:
 def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidController:
     """A PID from its section; fixed gains it leaves out keep `gains`."""
     spec = _take(spec, ("type", "shaper", "schedule", *_GAINS, *_PID_OPTIONS), where)
+    fixed = sorted(set(spec) & set(_GAINS))
+    if "schedule" in spec and fixed:
+        raise ConfigError(f"{where} gives both a 'schedule' and fixed gain(s) {fixed}")
     try:
         if "schedule" in spec:
             gains = GainSchedule([_schedule_row(row, where) for row in spec["schedule"]])

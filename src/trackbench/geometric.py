@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import VehicleParams, clamp
+from .models import STEER_MAX, VehicleParams, clamp
 from .track import TrackingErrors
 
 
@@ -21,7 +21,7 @@ class PurePursuitConfig:
     k_v: float = 0.5
     d_l_min: float = 2.0
     d_l_max: float = 20.0
-    delta_max: float = math.radians(35.0)
+    delta_max: float = STEER_MAX
     # fixing the lookahead distance gives the de-coupled law
     d_l_fixed: float | None = None
 
@@ -41,7 +41,7 @@ class StanleyConfig:
     k_delta: float = 4.0
     k_s: float = 1.0
     k_d: float = 1.0
-    delta_max: float = math.radians(35.0)
+    delta_max: float = STEER_MAX
 
     def __post_init__(self) -> None:
         if not self.k_delta > 0.0:

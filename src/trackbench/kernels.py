@@ -116,6 +116,11 @@ def mpc_cost(
     equals a kin_step rollout bit for bit.  Each step reads its array
     elements into Python floats first: interpreted, arithmetic on numpy
     scalars and a call per step cost about as much as the arithmetic itself.
+
+    Only the first m steps read a new row.  They add the rate terms and
+    compute the steer terms tan(d), beta and cos(beta), which the held steps
+    reuse.  A held step's rate changes are exactly zero, so with finite rate
+    weights (MpcWeights requires them) its rate terms add nothing.
     """
     p = refs.shape[0]
     m = seq.shape[0]
@@ -125,29 +130,33 @@ def mpc_cost(
     v = float(v)
     pa = float(prev_a)
     pd = float(prev_d)
+    a = pa
+    td = beta = cb = 0.0
     cost = 0.0
     for i in range(p):
-        j = i if i < m else m - 1
-        a = float(seq[j, 0])
-        d = float(seq[j, 1])
-        da = a - pa
-        dd = d - pd
-        cost += w_da * da * da + w_ds * dd * dd
-        if accel_rate_max > 0.0:
-            ex = abs(da) - accel_rate_max * dt
-            if ex > 0.0:
-                cost += soft_penalty * ex * ex
-        if steer_rate_max > 0.0:
-            ex = abs(dd) - steer_rate_max * dt
-            if ex > 0.0:
-                cost += soft_penalty * ex * ex
-        pa = a
-        pd = d
+        if i < m:
+            a = float(seq[i, 0])
+            d = float(seq[i, 1])
+            da = a - pa
+            dd = d - pd
+            cost += w_da * da * da + w_ds * dd * dd
+            if accel_rate_max > 0.0:
+                ex = abs(da) - accel_rate_max * dt
+                if ex > 0.0:
+                    cost += soft_penalty * ex * ex
+            if steer_rate_max > 0.0:
+                ex = abs(dd) - steer_rate_max * dt
+                if ex > 0.0:
+                    cost += soft_penalty * ex * ex
+            pa = a
+            pd = d
+            td = math.tan(d)
+            beta = math.atan(td * lr / wheelbase)
+            cb = math.cos(beta)
         # kin_step, then wrap_angle on the new heading
-        beta = math.atan(math.tan(d) * lr / wheelbase)
         nx = x + v * math.cos(theta + beta) * dt
         ny = y + v * math.sin(theta + beta) * dt
-        theta = theta + v * math.tan(d) * math.cos(beta) / wheelbase * dt
+        theta = theta + v * td * cb / wheelbase * dt
         theta = math.pi - (math.pi - theta) % TWO_PI
         v = v + a * dt
         x = nx

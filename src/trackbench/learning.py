@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .classical import SPEED_PID_GAINS, PidController
-from .models import VehicleParams, VehicleState
+from .models import STEER_MAX, VehicleParams, VehicleState
 from .nn import (AdamState, Mlp, adam_step, grad_list, load_mlp, loss,
                  loss_grad, save_mlp)
 from .track import Track, TrackingErrors
@@ -53,7 +53,7 @@ class Policy:
     errors, so it needs no vehicle parameters of its own.
     """
 
-    def __init__(self, mlp: Mlp | None = None, steer_max: float = math.radians(35.0),
+    def __init__(self, mlp: Mlp | None = None, steer_max: float = STEER_MAX,
                  hidden=(32, 32), rng: np.random.Generator | None = None,
                  sigma: float | None = None):
         if mlp is None:
@@ -85,7 +85,7 @@ class Policy:
         save_mlp(self.mlp, path)
 
     @classmethod
-    def load(cls, path, steer_max: float = math.radians(35.0)) -> "Policy":
+    def load(cls, path, steer_max: float = STEER_MAX) -> "Policy":
         return cls(mlp=load_mlp(path), steer_max=steer_max)
 
 
@@ -167,7 +167,7 @@ def balance_dataset(obs: np.ndarray, labels: np.ndarray, *,
 
 
 def clone_behavior(obs: np.ndarray, labels: np.ndarray, *,
-                   steer_max: float = math.radians(35.0), hidden=(32, 32),
+                   steer_max: float = STEER_MAX, hidden=(32, 32),
                    epochs: int = 60, batch: int = 64, alpha: float = 1e-3,
                    seed: int = 0, log_path=None):
     """Fit a Policy to expert steering by minibatch MSE regression.

@@ -18,6 +18,9 @@ from . import kernels
 # practice; the simulation harness substitutes the kinematic model.
 V_MIN_LATERAL = 0.1
 
+# Default steering limit of the vehicle and of every steering law, rad.
+STEER_MAX = math.radians(35.0)
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -41,7 +44,7 @@ class VehicleParams:
     road_grade: float = 0.0
     accel_max: float = 3.0
     decel_max: float = 6.0
-    steer_max: float = math.radians(35.0)
+    steer_max: float = STEER_MAX
 
     def __post_init__(self) -> None:
         positive = (

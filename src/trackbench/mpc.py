@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .models import VehicleParams, clamp
+from .models import STEER_MAX, VehicleParams, clamp
 from .track import Track
 
 
@@ -29,9 +29,10 @@ class MpcWeights:
     d_steer: float = 1.0
 
     def __post_init__(self) -> None:
+        # finite, so a held step's zero rate change costs exactly zero
         for name in ("pos", "head", "vel", "d_accel", "d_steer"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"weight {name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"weight {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class MpcBounds:
 
     accel_min: float = -6.0
     accel_max: float = 3.0
-    steer_max: float = math.radians(35.0)
+    steer_max: float = STEER_MAX
     accel_rate: float = 0.0
     steer_rate: float = 0.0
     v_max: float = 0.0

@@ -251,3 +251,47 @@ def test_invalid_env_is_config_error(tmp_path, capsys, command, env, key):
     err = capsys.readouterr().err
     assert "env" in err and key in err
     assert not (tmp_path / "p.bin").exists()
+
+
+@pytest.mark.parametrize("name", ["d_accel", "d_steer", "pos"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_simulate_non_finite_mpc_weight_exits_1(tmp_path, capsys, name, bad):
+    # json writes these as Infinity/NaN, which its loader accepts
+    cfg = write_cfg(tmp_path, dict(SIM_CFG, lateral={"type": "mpc", "weights": {name: bad}}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [("dt", 0), ("max_steps", 0)])
+def test_train_bc_bad_sim_key_is_config_error(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, {"track": {"kind": "straight", "length": 50}, key: value})
+    assert main(["train-bc", "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "p.bin").exists()
+
+
+def test_suite_track_without_name_or_kind_exits_1(tmp_path, capsys):
+    suite = write_cfg(tmp_path, {
+        "controllers": [{"lateral": {"type": "stanley"}}],
+        "tracks": [{"name": "short", "kind": "straight", "length": 50}, {"length": 50}],
+        "speeds": [5],
+    }, "suite.json")
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--suite", suite, "--out", str(out)]) == 1
+    assert "tracks[1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-ppo", "evolve"])
+def test_hidden_beside_init_policy_is_config_error(tmp_path, capsys, command):
+    init_path = tmp_path / "init.bin"
+    Policy(hidden=(8,), rng=np.random.default_rng(1)).save(init_path)
+    cfg = write_cfg(tmp_path, {
+        "track": {"kind": "circle", "radius": 20.0, "v_ref": 6.0},
+        "init_policy": str(init_path),
+        "hidden": [16],
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+    assert "hidden" in capsys.readouterr().err
+    assert not (tmp_path / "p.bin").exists()

@@ -332,6 +332,14 @@ def test_policy_non_positive_steering_limit_is_config_error(tmp_path):
                       VehicleParams(), 0.02)
 
 
+def test_pid_schedule_with_fixed_gain_is_config_error(params):
+    # a fixed gain beside a schedule would reach no controller
+    for gain in ("kp", "ki", "kd"):
+        with pytest.raises(ConfigError, match=gain):
+            build_lateral({"type": "pid", gain: 5.0, "schedule": [{"at": 0.0, "kp": 1.0}]},
+                          params, 0.02)
+
+
 def test_pid_schedule_row_keys_checked(params):
     for row, key in (({"at": 0.0, "kpp": 1.0}, "kpp"), ({"kp": 1.0}, "at")):
         with pytest.raises(ConfigError, match=key):

@@ -18,6 +18,8 @@ from trackbench.mpc import (
 )
 from trackbench.track import Track, racetrack, straight_track
 
+from test_kernels import _mpc_cost_kin_step_loop
+
 
 def tile_u(u, m):
     return np.tile(np.asarray(u, dtype=np.float64), (m, 1))
@@ -326,6 +328,36 @@ def test_converged_solve_is_stationary_at_floor_step(bench_track, params):
     assert converged >= 20
 
 
+@pytest.mark.parametrize("bounds", [
+    MpcBounds(),
+    MpcBounds(accel_rate=20.0, steer_rate=0.5, v_max=9.0, soft_penalty=50.0),
+], ids=["soft_off", "soft_on"])
+def test_optimize_same_with_kin_step_loop_cost(bench_track, params, monkeypatch, bounds):
+    # the whole solve, not only one evaluation, equals a solve over the
+    # kin_step-loop reference cost: same probes, same accepted moves
+    cfg = MpcConfig(ts=0.05, p=20, m=4, bounds=bounds)
+    rng = np.random.default_rng(27)
+    cases = []
+    for _ in range(4):
+        k = int(rng.integers(0, bench_track.nseg))
+        heading = float(bench_track.seg_tangent[k])
+        offset = float(rng.uniform(-1.0, 1.0))
+        state = (float(bench_track.xs[k]) - math.sin(heading) * offset,
+                 float(bench_track.ys[k]) + math.cos(heading) * offset,
+                 heading + float(rng.uniform(-0.2, 0.2)), float(rng.uniform(6.0, 12.0)))
+        refs, _, _ = build_reference(bench_track, state, cfg)
+        prev = (float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-0.2, 0.2)))
+        warm = None if len(cases) % 2 == 0 else rng.uniform(-0.3, 0.3, size=(cfg.m, 2))
+        cases.append((state, refs, prev, warm))
+    fused = [optimize(s, r, u, cfg, params, w) for s, r, u, w in cases]
+    monkeypatch.setattr(kernels, "mpc_cost", _mpc_cost_kin_step_loop)
+    for (s, r, u, w), got in zip(cases, fused):
+        ref = optimize(s, r, u, cfg, params, w)
+        assert got.seq.tobytes() == ref.seq.tobytes()
+        assert got.cost == ref.cost
+        assert (got.iterations, got.evaluations) == (ref.iterations, ref.evaluations)
+
+
 def test_controller_straight_track_near_zero_steer(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     ctrl = MpcController(MpcConfig(ts=0.05, p=10, m=3), params)
@@ -402,6 +434,10 @@ def test_config_validation():
         MpcConfig(latency_steps=-1)
     with pytest.raises(ValueError):
         MpcWeights(pos=-1.0)
+    for name in ("pos", "head", "vel", "d_accel", "d_steer"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                MpcWeights(**{name: bad})
     with pytest.raises(ValueError):
         MpcBounds(accel_min=3.0, accel_max=-6.0)
     with pytest.raises(ValueError):
