@@ -7,7 +7,7 @@ stack with imitation / policy-gradient / evolutionary training, and a
 closed-loop simulation harness with benchmarking CLI.
 """
 
-from .kernels import USING_NUMBA, wrap_angle
+from .kernels import wrap_angle
 from .models import (
     ControlInput,
     DynamicState,
@@ -20,7 +20,6 @@ from .track import Track, circle_track, racetrack, straight_track
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "wrap_angle",
     "ControlInput",
     "DynamicState",

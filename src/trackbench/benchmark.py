@@ -81,7 +81,7 @@ def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float)
         raise ConfigError("suite controller entry needs a 'lateral' section")
     run_cfg = {**_pick(suite, _SUITE_RUN_KEYS), **_pick(controller_spec, _ENTRY_RUN_KEYS)}
     track = _speed_track(track_spec, speed)
-    sim_cfg, params, controller = build_run(run_cfg, track)
+    sim_cfg, params, controller = build_run(run_cfg)
     record = simulate(sim_cfg, track, params, controller)
     return record, track
 

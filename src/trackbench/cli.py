@@ -49,7 +49,7 @@ def cmd_simulate(args) -> int:
 
     cfg = load_json(args.config)
     track = _load_run_track(cfg, args.track)
-    sim_cfg, params, controller = build_run(cfg, track)
+    sim_cfg, params, controller = build_run(cfg)
     record = simulate(sim_cfg, track, params, controller)
     os.makedirs(args.out, exist_ok=True)
     record.to_csv(os.path.join(args.out, "log.csv"))

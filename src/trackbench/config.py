@@ -47,6 +47,19 @@ def load_json(path) -> dict:
     return data
 
 
+# numeric field annotation -> the types a config value for it may have
+_NUMBERS = {"float": (int, float), "int": int, "float | None": (int, float, type(None))}
+
+
+def _number(value, kinds, key: str, where: str):
+    """`value` if it is one of `kinds` and not a bool, else a ConfigError
+    naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ConfigError(f"bad {where}: {key!r} must be {kind}, not {type(value).__name__}")
+    return value
+
+
 # Steering limits, in radians; each may also be given in degrees as <name>_deg.
 _ANGLES = ("steer_max", "u_max", "delta_max")
 
@@ -67,10 +80,7 @@ def _take(spec, keys, where: str) -> dict:
             continue
         if name in spec:
             raise ConfigError(f"{where} gives both {name!r} and {deg!r}")
-        try:
-            spec[name] = math.radians(spec.pop(deg))
-        except TypeError as exc:
-            raise ConfigError(f"bad {where}: {deg}: {exc}") from exc
+        spec[name] = math.radians(_number(spec.pop(deg), (int, float), deg, where))
     return spec
 
 
@@ -84,9 +94,14 @@ def build_section(cls, spec: dict | None, where: str, **derived):
     """Build dataclass `cls` from a config section.
 
     The section's keys are the field names.  A field the section leaves out
-    takes its value from `derived`, else the class default.
+    takes its value from `derived`, else the class default.  A value given
+    for a numeric field must be a number (not a bool), an integer for an
+    int field.
     """
     spec = _take(spec or {}, [f.name for f in fields(cls)], where)
+    for f in fields(cls):
+        if f.name in spec and f.type in _NUMBERS:
+            _number(spec[f.name], _NUMBERS[f.type], f.name, where)
     try:
         return cls(**{**derived, **spec})
     except (ValueError, TypeError) as exc:
@@ -230,7 +245,7 @@ def build_initial(spec: dict | None) -> VehicleState | None:
 _RUN_SECTIONS = ("vehicle", "lateral", "longitudinal", "track")
 
 
-def build_run(cfg: dict, track: Track):
+def build_run(cfg: dict):
     """Assemble (SimConfig, VehicleParams, controller) from a
     simulate-config dict."""
     sim_spec = {k: v for k, v in cfg.items() if k not in _RUN_SECTIONS}

@@ -1,58 +1,28 @@
-"""Numerically hot kernels.
+"""Numerically hot kernels, run as plain Python: the plant step and rollout,
+the MPC horizon cost, and the nearest-point scans.
 
-Compiled with numba when it is importable and the ``TRACKBENCH_NUMBA``
-environment variable is not set to ``0``/``false``/``off``/``no``.  Otherwise
-the same source runs as plain Python, and the full-track polyline scan
-switches to a vectorized numpy path (see :mod:`trackbench.track`).
-``USING_NUMBA`` reports which path is active.
+A hinted nearest-point query scans a window of segments with the scalar
+loop; an unhinted one uses the vectorized numpy scan (see
+:mod:`trackbench.track`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-
-def _flag_enabled() -> bool:
-    raw = os.environ.get("TRACKBENCH_NUMBA", "1").strip().lower()
-    return raw not in {"0", "false", "off", "no"}
-
-
+# nothing compiles these kernels; kept because perfbench's machine record reads it
 USING_NUMBA = False
-
-if _flag_enabled():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        # no-op stand-in so the same functions run interpreted
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
 
 TWO_PI = 2.0 * math.pi
 
 
-@njit(cache=True)
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     return math.pi - (math.pi - theta) % TWO_PI
 
 
-@njit(cache=True)
 def kin_step(x, y, theta, v, accel, steer, dt, wheelbase, lr):
     """One explicit-Euler step of the kinematic bicycle model."""
     beta = math.atan(math.tan(steer) * lr / wheelbase)
@@ -63,7 +33,6 @@ def kin_step(x, y, theta, v, accel, steer, dt, wheelbase, lr):
     return nx, ny, ntheta, nv
 
 
-@njit(cache=True)
 def kin_rollout(x, y, theta, v, seq, dt, wheelbase, lr, out):
     """Roll the kinematic model out[i] = state after i+1 steps.
 
@@ -82,7 +51,6 @@ def kin_rollout(x, y, theta, v, seq, dt, wheelbase, lr, out):
     return out
 
 
-@njit(cache=True)
 def mpc_cost(
     x,
     y,
@@ -173,7 +141,6 @@ def mpc_cost(
     return cost
 
 
-@njit(cache=True)
 def nearest_on_polyline(xs, ys, px, py, start, count, nseg, npts, closed):
     """Scan `count` segments beginning at `start` for the closest point.
 

@@ -163,17 +163,19 @@ def compute_metrics(
 class ControlContext:
     """What a controller sees of its run; the harness updates it each step.
 
-    `state` is the plant's (x, y, theta, v).  `speed_error` is the reference
-    speed, capped by the coupled speed limit, minus v.  `prev_accel` and
-    `prev_steer` are the previous step's commands after shaping and
-    clamping.  A controller whose reference has run out sets `end_of_track`;
-    the run then ends once the vehicle stops.
+    `step_index` counts the run's steps from 0.  `state` is the plant's
+    (x, y, theta, v).  `speed_error` is the reference speed, capped by the
+    coupled speed limit, minus v.  `prev_accel` and `prev_steer` are the
+    previous step's commands after shaping and clamping.  A controller whose
+    reference has run out sets `end_of_track`; the run then ends once the
+    vehicle stops.
     """
 
     def __init__(self, track: Track, params: VehicleParams, dt: float):
         self.track = track
         self.params = params
         self.dt = dt
+        self.step_index = -1
         self.state = (0.0, 0.0, 0.0, 0.0)
         self.speed_error = 0.0
         self.prev_accel = 0.0
@@ -183,6 +185,7 @@ class ControlContext:
         self._errors: dict[str, TrackingErrors] = {}
 
     def advance(self, state: tuple[float, float, float, float]) -> None:
+        self.step_index += 1
         self.state = state
         self._errors.clear()
 
@@ -342,11 +345,10 @@ class StanleyLateral:
 class MpcLateral:
     """Receding-horizon controller on its own divisor schedule.
 
-    It is a law for both channels.  steer() solves every `tick` sim steps
-    (tick = ts/dt) and holds the command in between; accel() reads the held
-    command.  Paired runs the speed law first, so paired with itself
-    ("longitudinal": {"type": "mpc"}) the acceleration of a solve applies
-    from the step after it.
+    It is a law for both channels.  It solves on every `tick`-th sim step
+    (tick = ts/dt), in whichever of accel() and steer() runs first, and
+    holds the command in between, so paired with itself ("longitudinal":
+    {"type": "mpc"}) both channels of a solve apply on the same step.
     """
 
     def __init__(self, cfg: MpcConfig, params: VehicleParams, dt: float):
@@ -357,23 +359,27 @@ class MpcLateral:
         self.tick = tick
         self.controller = MpcController(cfg, params)
         self._command = (0.0, 0.0)
-        self._stepno = 0
+        self._solved_at = -1
 
     def reset(self) -> None:
         self.controller.reset()
         self._command = (0.0, 0.0)
-        self._stepno = 0
+        self._solved_at = -1
 
-    def accel(self, ctx: ControlContext) -> float:
-        return self._command[0]
-
-    def steer(self, ctx: ControlContext) -> float:
-        if self._stepno % self.tick == 0:
+    def _command_at(self, ctx: ControlContext) -> tuple[float, float]:
+        k = ctx.step_index
+        if k % self.tick == 0 and k != self._solved_at:
+            self._solved_at = k
             self._command = self.controller.step(ctx.state, ctx.track)
             if self.controller.end_of_track:
                 ctx.end_of_track = True
-        self._stepno += 1
-        return self._command[1]
+        return self._command
+
+    def accel(self, ctx: ControlContext) -> float:
+        return self._command_at(ctx)[0]
+
+    def steer(self, ctx: ControlContext) -> float:
+        return self._command_at(ctx)[1]
 
 
 # --------------------------------------------------------------- sim loop

@@ -217,14 +217,9 @@ class Track:
             )
             if dist <= _HINT_TRUST_DIST:
                 return self._nearest_result(seg, t, dist)
-        if kernels.USING_NUMBA:
-            seg, t, dist = kernels.nearest_on_polyline(
-                self.xs, self.ys, px, py, 0, self.nseg, self.nseg, self.npts, self.closed
-            )
-        else:
-            seg, t, dist = kernels.nearest_on_polyline_numpy(
-                self.xs, self.ys, px, py, self.nseg, self.npts
-            )
+        seg, t, dist = kernels.nearest_on_polyline_numpy(
+            self.xs, self.ys, px, py, self.nseg, self.npts
+        )
         return self._nearest_result(seg, t, dist)
 
     def _nearest_result(self, seg: int, t: float, dist: float) -> NearestPoint:

@@ -263,7 +263,8 @@ def test_simulate_non_finite_mpc_weight_exits_1(tmp_path, capsys, name, bad):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key,value", [("dt", 0), ("max_steps", 0)])
+@pytest.mark.parametrize("key,value", [("dt", 0), ("max_steps", 0), ("dt", "fast"),
+                                       ("max_steps", 100.5)])
 def test_train_bc_bad_sim_key_is_config_error(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, {"track": {"kind": "straight", "length": 50}, key: value})
     assert main(["train-bc", "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1

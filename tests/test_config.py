@@ -34,7 +34,6 @@ from trackbench.sim import (
     SimConfig,
     StanleyLateral,
 )
-from trackbench.track import straight_track
 
 
 def test_load_json_errors(tmp_path):
@@ -62,6 +61,20 @@ def test_build_vehicle_defaults_and_overrides():
         build_vehicle({"masss": 1200.0})
     with pytest.raises(ConfigError):
         build_vehicle({"mass": -5.0})
+
+
+def test_non_number_for_numeric_field_names_the_key():
+    for bad in ("x", True, None, [1.0]):
+        with pytest.raises(ConfigError, match=r"bad vehicle: 'mass' must be a number, not"):
+            build_vehicle({"mass": bad})
+    with pytest.raises(ConfigError, match=r"'steer_max_deg' must be a number, not bool"):
+        build_vehicle({"steer_max_deg": True})
+    with pytest.raises(ConfigError, match=r"'max_steps' must be an integer, not float"):
+        build_run({"lateral": {"type": "stanley"}, "max_steps": 100.5})
+    with pytest.raises(ConfigError, match=r"'p' must be an integer, not bool"):
+        build_mpc_config({"p": True})
+    assert build_vehicle({"mass": 1200}).mass == 1200
+    assert build_section(PurePursuitConfig, {"d_l_fixed": None}, "pure_pursuit").d_l_fixed is None
 
 
 def test_build_track_kinds(tmp_path):
@@ -216,7 +229,6 @@ def test_build_coupling():
 
 
 def test_build_run_assembles_everything():
-    track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     cfg = {
         "model": "kinematic",
         "dt": 0.05,
@@ -224,7 +236,7 @@ def test_build_run_assembles_everything():
         "initial": {"y": 0.5, "v": 8.0},
         "lateral": {"type": "stanley"},
     }
-    sim_cfg, params, controller = build_run(cfg, track)
+    sim_cfg, params, controller = build_run(cfg)
     lateral, longitudinal = controller.lateral, controller.longitudinal
     assert sim_cfg.dt == 0.05
     assert sim_cfg.max_steps == 500
@@ -232,33 +244,30 @@ def test_build_run_assembles_everything():
     assert isinstance(lateral, StanleyLateral)
     assert isinstance(longitudinal, LongitudinalPid)
     with pytest.raises(ConfigError):
-        build_run({"lateral": {"type": "stanley"}, "steps": 5}, track)
+        build_run({"lateral": {"type": "stanley"}, "steps": 5})
     with pytest.raises(ConfigError):
-        build_run({"dt": 0.05}, track)
+        build_run({"dt": 0.05})
 
 
 def test_build_run_rejects_seed():
     # the simulation draws no random numbers, so a seed would be ignored
-    track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     with pytest.raises(ConfigError, match="seed"):
-        build_run({"lateral": {"type": "stanley"}, "seed": 0}, track)
+        build_run({"lateral": {"type": "stanley"}, "seed": 0})
 
 
 def test_build_run_pairs_mpc_with_itself_only_on_request():
-    track = straight_track(100.0, spacing=1.0, v_ref=8.0)
-    _, _, both = build_run({"lateral": {"type": "mpc"}, "longitudinal": {"type": "mpc"}}, track)
+    _, _, both = build_run({"lateral": {"type": "mpc"}, "longitudinal": {"type": "mpc"}})
     assert isinstance(both.lateral, MpcLateral) and both.longitudinal is both.lateral
-    _, _, steer_only = build_run({"lateral": {"type": "mpc"}}, track)
+    _, _, steer_only = build_run({"lateral": {"type": "mpc"}})
     assert isinstance(steer_only.longitudinal, LongitudinalPid)
     for lon in ({"type": "none", "valu": 1.0}, {"type": "mpc", "shaper": {}}):
         with pytest.raises(ConfigError, match="valu|shaper"):
-            build_run({"lateral": {"type": "mpc"}, "longitudinal": lon}, track)
+            build_run({"lateral": {"type": "mpc"}, "longitudinal": lon})
 
 
 # a vehicle whose steering limit differs from every class default, so a law
 # that derives its limit from the vehicle shows it
 NARROW = VehicleParams(steer_max=0.3)
-STRAIGHT = straight_track(100.0, spacing=1.0, v_ref=8.0)
 
 
 @pytest.mark.parametrize("built,expected", [
@@ -266,7 +275,7 @@ STRAIGHT = straight_track(100.0, spacing=1.0, v_ref=8.0)
     (lambda: build_coupling({}), CouplingConfig()),
     (lambda: build_shaper({}), OutputShaper()),
     (lambda: build_section(VehicleState, {}, "initial"), VehicleState()),
-    (lambda: build_run({"lateral": {"type": "stanley"}}, STRAIGHT)[0], SimConfig()),
+    (lambda: build_run({"lateral": {"type": "stanley"}})[0], SimConfig()),
     (lambda: build_mpc_config({}), MpcConfig()),
     (lambda: build_section(PidGains, {}, "schedule row"), PidGains()),
     (lambda: build_section(EnvConfig, {}, "env"), EnvConfig()),

@@ -6,6 +6,7 @@ import pytest
 from trackbench import kernels
 from trackbench.models import VehicleParams, slip_angle
 from trackbench.mpc import MpcConfig, stage_cost
+from trackbench.track import Track, circle_track, racetrack, straight_track
 
 
 def test_wrap_angle_pinned_values():
@@ -216,17 +217,29 @@ def test_nearest_windowed_search_agrees_with_global():
         assert w[2] == pytest.approx(g[2], rel=1e-12)
 
 
-def test_python_fallback_matches_active_path():
-    if not kernels.USING_NUMBA:
-        pytest.skip("already running the fallback path")
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        args = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
-                float(rng.uniform(-3, 3)), float(rng.uniform(0, 20)),
-                float(rng.uniform(-3, 3)), float(rng.uniform(-0.6, 0.6)),
-                0.02, 2.5, 1.25)
-        assert kernels.kin_step(*args) == pytest.approx(
-            kernels.kin_step.py_func(*args), rel=1e-15)
-        theta = float(rng.uniform(-40, 40))
-        assert kernels.wrap_angle(theta) == pytest.approx(
-            kernels.wrap_angle.py_func(theta), rel=1e-15)
+_BENDY = racetrack(50.0, 12.0)
+
+
+@pytest.mark.parametrize("track", [
+    straight_track(200.0),
+    circle_track(30.0),
+    racetrack(100.0, 20.0),
+    _BENDY,
+    Track(_BENDY.xs, _BENDY.ys, _BENDY.v_ref, closed=False),
+], ids=["straight", "circle", "racetrack", "bendy", "bendy_open"])
+def test_numpy_scan_is_the_full_kernel_scan(track):
+    # the unhinted Track.nearest runs the numpy scan; it must return what a
+    # full scalar scan returns, bit for bit.  Every vertex is a query: there
+    # adjacent segments tie, and on a closed track vertex 0 ties the last
+    # segment with the first.
+    rng = np.random.default_rng(8)
+    xs, ys, nseg, npts = track.xs, track.ys, track.nseg, track.npts
+    queries = list(zip(xs.tolist(), ys.tolist()))
+    for _ in range(500):
+        i = int(rng.integers(npts))
+        queries.append((xs[i] + float(rng.normal(0.0, 3.0)), ys[i] + float(rng.normal(0.0, 3.0))))
+    for px, py in queries:
+        got = kernels.nearest_on_polyline_numpy(xs, ys, px, py, nseg, npts)
+        want = kernels.nearest_on_polyline(xs, ys, px, py, 0, nseg, nseg, npts, track.closed)
+        assert got[0] == want[0], (px, py)
+        assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in want[1:]], (px, py)

@@ -407,6 +407,29 @@ def test_latency_compensation_recovers_tracking(bench_track, params):
     assert rms[4] < 0.1
 
 
+def test_both_channels_of_a_solve_apply_on_the_same_step(params):
+    # paired with itself, the MPC's acceleration and steering of one solve
+    # reach the plant on the step of that solve, and are held for tick steps
+    from trackbench.models import VehicleState
+    from trackbench.sim import MpcLateral, Paired, SimConfig, simulate
+
+    track = racetrack(100.0, 20.0, v_ref=12.0)
+    init = VehicleState(x=float(track.xs[0]), y=float(track.ys[0]) + 0.5, theta=0.0, v=10.0)
+    lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), params, dt=0.025)
+    planned = []
+    solve = lat.controller.step
+
+    def recording_solve(state, trk):
+        planned.append(solve(state, trk))
+        return planned[-1]
+
+    lat.controller.step = recording_solve
+    rec = simulate(SimConfig(dt=0.025, initial=init, max_steps=8), track, params, Paired(lat, lat))
+    assert lat.tick == 2 and len(planned) == 4
+    applied = list(zip(rec.column("accel").tolist(), rec.column("steer").tolist()))
+    assert applied == [u for u in planned for _ in range(lat.tick)]
+
+
 def test_design_params_hand_values():
     out = design_params(2.0, 5.0)
     assert out["ts"] == pytest.approx((0.1, 0.2), rel=1e-12)

@@ -91,7 +91,7 @@ def test_harness_invariants(spec, policy_path):
     }
     if run["lateral"]["type"] == "policy":
         run["lateral"] = {**run["lateral"], "path": policy_path}
-    sim_cfg, params, controller = build_run(run, track)
+    sim_cfg, params, controller = build_run(run)
 
     first = simulate(sim_cfg, track, params, controller)
     assert first.termination in TERMINATIONS
