@@ -7,6 +7,7 @@ with a message naming the offending key.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import fields, replace
@@ -60,6 +61,17 @@ def _number(value, kinds, key: str, where: str):
     return value
 
 
+def _check_numbers(callee, spec: dict, where: str) -> None:
+    """Check with _number each value `spec` gives for a parameter of
+    `callee` (a function or a dataclass) annotated `float`, `int` or
+    `float | None`."""
+    params = inspect.signature(callee).parameters
+    for key, value in spec.items():
+        kinds = _NUMBERS.get(params[key].annotation) if key in params else None
+        if kinds is not None:
+            _number(value, kinds, key, where)
+
+
 # Steering limits, in radians; each may also be given in degrees as <name>_deg.
 _ANGLES = ("steer_max", "u_max", "delta_max")
 
@@ -99,9 +111,7 @@ def build_section(cls, spec: dict | None, where: str, **derived):
     int field.
     """
     spec = _take(spec or {}, [f.name for f in fields(cls)], where)
-    for f in fields(cls):
-        if f.name in spec and f.type in _NUMBERS:
-            _number(spec[f.name], _NUMBERS[f.type], f.name, where)
+    _check_numbers(cls, spec, where)
     try:
         return cls(**{**derived, **spec})
     except (ValueError, TypeError) as exc:
@@ -130,6 +140,7 @@ def build_track(spec: dict) -> Track:
     builder, keys = _TRACK_KINDS[kind]
     args = {k: v for k, v in spec.items() if k not in ("kind", "name")}
     _take(args, keys, f"track kind {kind!r}")
+    _check_numbers(builder, args, f"track kind {kind!r}")
     if kind == "csv" and "path" not in args:
         raise ConfigError("track kind 'csv' missing key 'path'")
     try:
@@ -151,7 +162,8 @@ def _schedule_row(row, where: str) -> tuple[float, PidGains]:
     gains = _take(row, ("at", *_GAINS), f"{where} schedule row")
     if "at" not in gains:
         raise ConfigError(f"{where} schedule row needs an 'at' key")
-    return gains.pop("at"), build_section(PidGains, gains, f"{where} schedule row")
+    at = _number(gains.pop("at"), (int, float), "at", f"{where} schedule row")
+    return at, build_section(PidGains, gains, f"{where} schedule row")
 
 
 def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidController:
@@ -160,6 +172,8 @@ def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidContr
     fixed = sorted(set(spec) & set(_GAINS))
     if "schedule" in spec and fixed:
         raise ConfigError(f"{where} gives both a 'schedule' and fixed gain(s) {fixed}")
+    _check_numbers(PidGains, _pick(spec, _GAINS), where)
+    _check_numbers(PidController, _pick(spec, _PID_OPTIONS), where)
     try:
         if "schedule" in spec:
             gains = GainSchedule([_schedule_row(row, where) for row in spec["schedule"]])
@@ -223,7 +237,9 @@ def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
         return LongitudinalPid(_build_pid(spec, "longitudinal pid", SPEED_PID_GAINS))
     if kind == "none":
         spec = _take(spec, ("type", "value"), "longitudinal none")
-        return ConstantAccel(**_pick(spec, ("value",)))
+        value = _pick(spec, ("value",))
+        _check_numbers(ConstantAccel, value, "longitudinal none")
+        return ConstantAccel(**value)
     if kind == "mpc":
         _take(spec, ("type",), "longitudinal mpc")
         if not isinstance(lateral, MpcLateral):

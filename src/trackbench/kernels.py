@@ -1,9 +1,9 @@
 """Numerically hot kernels, run as plain Python: the plant step and rollout,
 the MPC horizon cost, and the nearest-point scans.
 
-A hinted nearest-point query scans a window of segments with the scalar
-loop; an unhinted one uses the vectorized numpy scan (see
-:mod:`trackbench.track`).
+Both nearest-point scans read a segment table built once per track
+(segment_table): a hinted query scans a window of it with the scalar loop,
+an unhinted one scans all of it with numpy (see :mod:`trackbench.track`).
 """
 
 from __future__ import annotations
@@ -141,39 +141,50 @@ def mpc_cost(
     return cost
 
 
-def nearest_on_polyline(xs, ys, px, py, start, count, nseg, npts, closed):
-    """Scan `count` segments beginning at `start` for the closest point.
+def segment_table(xs, ys, closed):
+    """Per-segment geometry (start x, start y, dx, dy, dx*dx + dy*dy).
 
-    Segment i runs P[i] -> P[(i+1) % npts]; for open tracks nseg = npts-1 and
-    the scan stops at the last segment.  Strict `<` keeps the first (lowest
-    index in scan order) of exactly-tied segments.  Returns (segment index,
-    parameter t in [0,1], distance).
+    Segment i runs P[i] -> P[(i+1) % npts]; an open track has npts-1
+    segments.  A closed track's table holds its segments twice, so that any
+    window of at most nseg segments starting below nseg is a plain index
+    range.
+    """
+    n = xs.size
+    nseg = n if closed else n - 1
+    nxt = (np.arange(nseg) + 1) % n
+    ax = xs[:nseg]
+    ay = ys[:nseg]
+    dx = xs[nxt] - ax
+    dy = ys[nxt] - ay
+    seg2 = dx * dx + dy * dy
+    cols = (ax, ay, dx, dy, seg2)
+    if closed:
+        cols = tuple(np.concatenate((c, c)) for c in cols)
+    return cols
+
+
+def nearest_on_polyline(ax, ay, dx, dy, seg2, px, py, start, stop):
+    """Scan segments start..stop-1 of a segment table for the closest point.
+
+    Strict `<` keeps the first (lowest table index) of exactly-tied
+    segments.  Returns (table index, parameter t in [0,1], distance).
     """
     best_d2 = np.inf
     best_i = -1
     best_t = 0.0
-    for k in range(count):
-        i = start + k
-        if closed:
-            i = i % nseg
-        elif i >= nseg:
-            break
-        ax = xs[i]
-        ay = ys[i]
-        nxt = (i + 1) % npts
-        bx = xs[nxt]
-        by = ys[nxt]
-        dx = bx - ax
-        dy = by - ay
-        seg2 = dx * dx + dy * dy
-        t = ((px - ax) * dx + (py - ay) * dy) / seg2
+    for i in range(start, stop):
+        x0 = ax[i]
+        y0 = ay[i]
+        ex = dx[i]
+        ey = dy[i]
+        t = ((px - x0) * ex + (py - y0) * ey) / seg2[i]
         if t < 0.0:
             t = 0.0
         elif t > 1.0:
             t = 1.0
-        fx = ax + t * dx
-        fy = ay + t * dy
-        d2 = (px - fx) * (px - fx) + (py - fy) * (py - fy)
+        ux = px - (x0 + t * ex)
+        uy = py - (y0 + t * ey)
+        d2 = ux * ux + uy * uy
         if d2 < best_d2:
             best_d2 = d2
             best_i = i
@@ -181,17 +192,11 @@ def nearest_on_polyline(xs, ys, px, py, start, count, nseg, npts, closed):
     return best_i, best_t, math.sqrt(best_d2)
 
 
-def nearest_on_polyline_numpy(xs, ys, px, py, nseg, npts):
-    """Vectorized full-track scan; same contract as a start=0 full-count
-    kernel scan (np.argmin keeps the lowest index on exact ties)."""
-    idx = np.arange(nseg)
-    ax = xs[idx]
-    ay = ys[idx]
-    bx = xs[(idx + 1) % npts]
-    by = ys[(idx + 1) % npts]
-    dx = bx - ax
-    dy = by - ay
-    seg2 = dx * dx + dy * dy
+def nearest_on_polyline_numpy(ax, ay, dx, dy, seg2, px, py):
+    """Vectorized scan of every segment of a table, each once (the first
+    nseg rows of a closed track's); same contract as a full
+    nearest_on_polyline scan (np.argmin keeps the lowest index on exact
+    ties)."""
     t = ((px - ax) * dx + (py - ay) * dy) / seg2
     np.clip(t, 0.0, 1.0, out=t)
     fx = ax + t * dx

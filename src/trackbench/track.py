@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,13 @@ class TrackingErrors:
 
 
 class Track:
-    """Immutable waypoint polyline; queries are read-only."""
+    """Immutable waypoint polyline: it holds read-only copies of its inputs
+    and every array derived from them, so queries never see stale geometry."""
 
     def __init__(self, xs, ys, v_ref, closed: bool = False):
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        vr = np.asarray(v_ref, dtype=np.float64)
+        xs = np.array(xs, dtype=np.float64)
+        ys = np.array(ys, dtype=np.float64)
+        vr = np.array(v_ref, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.shape != vr.shape:
             raise ValueError("xs, ys, v_ref must be equal-length 1-D arrays")
         if xs.size < 2:
@@ -88,9 +90,11 @@ class Track:
         self.npts = xs.size
         self.nseg = self.npts if self.closed else self.npts - 1
 
-        nxt = (np.arange(self.nseg) + 1) % self.npts
-        dx = xs[nxt] - xs[: self.nseg]
-        dy = ys[nxt] - ys[: self.nseg]
+        # (start x, start y, dx, dy, dx*dx + dy*dy) per segment, twice over
+        # on a closed track so that a hinted window never wraps
+        self._table = kernels.segment_table(xs, ys, self.closed)
+        self._segments = tuple(col[: self.nseg] for col in self._table)
+        _, _, dx, dy, seg2 = self._segments
         self.seg_len = np.hypot(dx, dy)
         if np.any(self.seg_len <= 1e-6):
             raise ValueError("consecutive waypoints must be more than 1e-6 m apart")
@@ -99,6 +103,26 @@ class Track:
         self.cum_s = np.concatenate(([0.0], np.cumsum(self.seg_len)))
         self.length = float(self.cum_s[-1])
         self._curvature = self._waypoint_curvature()
+        # a segment's change in v_ref and curvature, end minus start
+        nxt = (np.arange(self.nseg) + 1) % self.npts
+        dv = vr[nxt] - vr[: self.nseg]
+        dk = self._curvature[nxt] - self._curvature[: self.nseg]
+        for arr in (xs, ys, vr, self.seg_len, self.seg_tangent, self.cum_s,
+                    self._curvature, dv, dk, *self._table, *self._segments):
+            arr.flags.writeable = False
+
+        # Read-only memoryviews for the O(1) accessors: an element reads as
+        # a Python float, without making a numpy scalar or a copy.
+        view = memoryview
+        self._x, self._y, self._v, self._k = view(xs), view(ys), view(vr), view(self._curvature)
+        self._dx, self._dy, self._seg2 = view(dx), view(dy), view(seg2)
+        self._dv, self._dk = view(dv), view(dk)
+        self._len, self._cum, self._tangent = (
+            view(self.seg_len), view(self.cum_s), view(self.seg_tangent))
+
+    def __reduce__(self):
+        # memoryviews do not pickle; a track is rebuilt from its inputs
+        return type(self), (self.xs, self.ys, self.v_ref, self.closed)
 
     # ------------------------------------------------------------------ io
 
@@ -155,21 +179,14 @@ class Track:
             kappa[i] = dth / ds
         return kappa
 
-    def seg_end_index(self, seg: int) -> int:
-        return (seg + 1) % self.npts
-
     def point_on_segment(self, seg: int, t: float) -> tuple[float, float]:
-        j = self.seg_end_index(seg)
-        x = self.xs[seg] + t * (self.xs[j] - self.xs[seg])
-        y = self.ys[seg] + t * (self.ys[j] - self.ys[seg])
-        return float(x), float(y)
+        return float(self._x[seg] + t * self._dx[seg]), float(self._y[seg] + t * self._dy[seg])
 
     def v_ref_on_segment(self, seg: int, t: float) -> float:
-        j = self.seg_end_index(seg)
-        return float(self.v_ref[seg] + t * (self.v_ref[j] - self.v_ref[seg]))
+        return float(self._v[seg] + t * self._dv[seg])
 
     def arc_length_at(self, seg: int, t: float) -> float:
-        return float(self.cum_s[seg] + t * self.seg_len[seg])
+        return float(self._cum[seg] + t * self._len[seg])
 
     def locate_s(self, s: float) -> tuple[int, float]:
         """Map arc length to (segment, parameter); wraps when closed,
@@ -178,9 +195,9 @@ class Track:
             s = s % self.length
         else:
             s = min(max(s, 0.0), self.length)
-        seg = int(np.searchsorted(self.cum_s, s, side="right")) - 1
+        seg = bisect_right(self._cum, s) - 1
         seg = min(max(seg, 0), self.nseg - 1)
-        t = (s - self.cum_s[seg]) / self.seg_len[seg]
+        t = (s - self._cum[seg]) / self._len[seg]
         return seg, float(min(max(t, 0.0), 1.0))
 
     def point_at_s(self, s: float) -> tuple[float, float]:
@@ -189,7 +206,7 @@ class Track:
 
     def tangent_at_s(self, s: float) -> float:
         seg, _ = self.locate_s(s)
-        return float(self.seg_tangent[seg])
+        return self._tangent[seg]
 
     def v_ref_at_s(self, s: float) -> float:
         seg, t = self.locate_s(s)
@@ -198,8 +215,7 @@ class Track:
     def curvature_at_s(self, s: float) -> float:
         """Curvature linearly interpolated between waypoint estimates."""
         seg, t = self.locate_s(s)
-        j = self.seg_end_index(seg)
-        return float(self._curvature[seg] + t * (self._curvature[j] - self._curvature[seg]))
+        return float(self._k[seg] + t * self._dk[seg])
 
     # ------------------------------------------------------------- queries
 
@@ -211,15 +227,13 @@ class Track:
         """
         if hint is not None:
             start = (hint - _HINT_BACK) % self.nseg if self.closed else max(hint - _HINT_BACK, 0)
-            count = min(_HINT_BACK + _HINT_FORWARD, self.nseg)
-            seg, t, dist = kernels.nearest_on_polyline(
-                self.xs, self.ys, px, py, start, count, self.nseg, self.npts, self.closed
-            )
+            stop = start + min(_HINT_BACK + _HINT_FORWARD, self.nseg)
+            if not self.closed:
+                stop = min(stop, self.nseg)
+            seg, t, dist = kernels.nearest_on_polyline(*self._table, px, py, start, stop)
             if dist <= _HINT_TRUST_DIST:
-                return self._nearest_result(seg, t, dist)
-        seg, t, dist = kernels.nearest_on_polyline_numpy(
-            self.xs, self.ys, px, py, self.nseg, self.npts
-        )
+                return self._nearest_result(seg % self.nseg, t, dist)
+        seg, t, dist = kernels.nearest_on_polyline_numpy(*self._segments, px, py)
         return self._nearest_result(seg, t, dist)
 
     def _nearest_result(self, seg: int, t: float, dist: float) -> NearestPoint:
@@ -260,13 +274,11 @@ class Track:
 
         seg = start
         for _ in range(self.nseg):
-            ax, ay = self.point_on_segment(seg, 0.0)
-            j = self.seg_end_index(seg)
-            bx = float(self.xs[j])
-            by = float(self.ys[j])
-            dx = bx - ax
-            dy = by - ay
-            a = dx * dx + dy * dy
+            ax = self._x[seg]
+            ay = self._y[seg]
+            dx = self._dx[seg]
+            dy = self._dy[seg]
+            a = self._seg2[seg]
             fx = ax - px
             fy = ay - py
             b = 2.0 * (fx * dx + fy * dy)
@@ -296,14 +308,14 @@ class Track:
             idx = (start + 1 + k) % self.npts if self.closed else start + 1 + k
             if idx >= self.npts:
                 break
-            wx = float(self.xs[idx])
-            wy = float(self.ys[idx])
+            wx = self._x[idx]
+            wy = self._y[idx]
             if math.hypot(wx - px, wy - py) > d_l:
                 return LookaheadResult(
                     x=wx, y=wy, alpha=self._alpha(px, py, heading, wx, wy), fallback=True
                 )
-        tx = float(self.xs[-1])
-        ty = float(self.ys[-1])
+        tx = self._x[-1]
+        ty = self._y[-1]
         return LookaheadResult(
             x=tx, y=ty, alpha=self._alpha(px, py, heading, tx, ty),
             fallback=self.closed, end_of_track=not self.closed,
@@ -339,7 +351,7 @@ class Track:
         near = self.nearest(px, py, hint)
         side = -math.sin(state.theta) * (near.x - px) + math.cos(state.theta) * (near.y - py)
         cross = near.distance if side >= 0.0 else -near.distance
-        heading_err = wrap_angle(float(self.seg_tangent[near.index]) - state.theta)
+        heading_err = wrap_angle(self._tangent[near.index] - state.theta)
         return TrackingErrors(
             cross_track=cross,
             heading=heading_err,

@@ -353,3 +353,43 @@ def test_pid_schedule_row_keys_checked(params):
     for row, key in (({"at": 0.0, "kpp": 1.0}, "kpp"), ({"kp": 1.0}, "at")):
         with pytest.raises(ConfigError, match=key):
             build_lateral({"type": "pid", "schedule": [row]}, params, 0.02)
+
+
+def test_constant_accel_value_must_be_a_number():
+    with pytest.raises(ConfigError,
+                       match=r"bad longitudinal none: 'value' must be a number, not str"):
+        build_longitudinal({"type": "none", "value": "x"}, VehicleParams(), None)
+    assert build_longitudinal({"type": "none", "value": -1}, VehicleParams(), None).value == -1
+
+
+def test_pid_buffer_len_must_be_an_integer():
+    for bad, kind in ((2.5, "float"), (10.0, "float"), (True, "bool")):
+        with pytest.raises(ConfigError,
+                           match=rf"bad lateral pid: 'buffer_len' must be an integer, not {kind}"):
+            build_lateral({"type": "pid", "buffer_len": bad}, VehicleParams(), 0.02)
+    with pytest.raises(ConfigError, match=r"bad longitudinal pid: 'buffer_len' must be an integer"):
+        build_longitudinal({"type": "pid", "buffer_len": 2.5}, VehicleParams(), None)
+    lateral = build_lateral({"type": "pid", "buffer_len": 3}, VehicleParams(), 0.02)
+    assert lateral.pid.buffer_len == 3
+
+
+@pytest.mark.parametrize("key", ["kp", "ki", "kd", "integral_clamp", "d_filter"])
+def test_pid_non_number_names_the_key(key):
+    with pytest.raises(ConfigError, match=rf"bad lateral pid: '{key}' must be a number, not str"):
+        build_lateral({"type": "pid", key: "x"}, VehicleParams(), 0.02)
+    with pytest.raises(ConfigError,
+                       match=rf"bad longitudinal pid: '{key}' must be a number, not bool"):
+        build_longitudinal({"type": "pid", key: True}, VehicleParams(), None)
+
+
+def test_straight_track_length_must_be_a_number():
+    with pytest.raises(ConfigError,
+                       match=r"bad track kind 'straight': 'length' must be a number, not bool"):
+        build_track({"kind": "straight", "length": True})
+    assert build_track({"kind": "straight", "length": 20}).length == pytest.approx(20.0)
+
+
+def test_circle_track_radius_must_be_a_number():
+    with pytest.raises(ConfigError,
+                       match=r"bad track kind 'circle': 'radius' must be a number, not str"):
+        build_track({"kind": "circle", "radius": "x"})

@@ -175,7 +175,7 @@ def test_nearest_on_polyline_matches_brute_force():
             px = float(rng.uniform(-30, 30))
             py = float(rng.uniform(-20, 20))
             seg, t, dist = kernels.nearest_on_polyline(
-                xs, ys, px, py, 0, nseg, nseg, n, closed)
+                *kernels.segment_table(xs, ys, closed), px, py, 0, nseg)
             best = math.inf
             for i in range(nseg):
                 j = (i + 1) % n
@@ -194,7 +194,7 @@ def test_nearest_on_polyline_tie_breaks_to_lower_segment():
     # square symmetric around the query: several segments share the distance
     xs = np.array([-1.0, 1.0, 1.0, -1.0])
     ys = np.array([-1.0, -1.0, 1.0, 1.0])
-    seg, t, dist = kernels.nearest_on_polyline(xs, ys, 0.0, 0.0, 0, 4, 4, 4, True)
+    seg, t, dist = kernels.nearest_on_polyline(*kernels.segment_table(xs, ys, True), 0.0, 0.0, 0, 4)
     assert seg == 0
     assert dist == pytest.approx(1.0, rel=1e-12)
 
@@ -209,10 +209,11 @@ def test_nearest_windowed_search_agrees_with_global():
     for _ in range(100):
         px = float(rng.uniform(0, 60))
         py = float(rng.uniform(-5, 5))
-        g = kernels.nearest_on_polyline(xs, ys, px, py, 0, nseg, nseg, n, False)
+        g = kernels.nearest_on_polyline(*kernels.segment_table(xs, ys, False), px, py, 0, nseg)
         # window of 40 segments centered at the global best still finds it
         start = max(0, g[0] - 20)
-        w = kernels.nearest_on_polyline(xs, ys, px, py, start, 40, nseg, n, False)
+        w = kernels.nearest_on_polyline(*kernels.segment_table(xs, ys, False), px, py,
+                                        start, min(start + 40, nseg))
         assert w[0] == g[0]
         assert w[2] == pytest.approx(g[2], rel=1e-12)
 
@@ -234,12 +235,122 @@ def test_numpy_scan_is_the_full_kernel_scan(track):
     # segment with the first.
     rng = np.random.default_rng(8)
     xs, ys, nseg, npts = track.xs, track.ys, track.nseg, track.npts
+    table = kernels.segment_table(xs, ys, track.closed)
     queries = list(zip(xs.tolist(), ys.tolist()))
     for _ in range(500):
         i = int(rng.integers(npts))
         queries.append((xs[i] + float(rng.normal(0.0, 3.0)), ys[i] + float(rng.normal(0.0, 3.0))))
     for px, py in queries:
-        got = kernels.nearest_on_polyline_numpy(xs, ys, px, py, nseg, npts)
-        want = kernels.nearest_on_polyline(xs, ys, px, py, 0, nseg, nseg, npts, track.closed)
+        got = kernels.nearest_on_polyline_numpy(*(c[:nseg] for c in table), px, py)
+        want = kernels.nearest_on_polyline(*table, px, py, 0, nseg)
         assert got[0] == want[0], (px, py)
         assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in want[1:]], (px, py)
+
+
+def _nearest_per_call_geometry(xs, ys, px, py, start, count, nseg, npts, closed):
+    """The hinted scan as it was before the segment table: each call works
+    out every segment's start, direction and squared length from the
+    waypoints, and wraps the window with `% nseg`.  Reference for
+    nearest_on_polyline."""
+    best_d2 = np.inf
+    best_i = -1
+    best_t = 0.0
+    for k in range(count):
+        i = start + k
+        if closed:
+            i = i % nseg
+        elif i >= nseg:
+            break
+        ax = xs[i]
+        ay = ys[i]
+        nxt = (i + 1) % npts
+        bx = xs[nxt]
+        by = ys[nxt]
+        dx = bx - ax
+        dy = by - ay
+        seg2 = dx * dx + dy * dy
+        t = ((px - ax) * dx + (py - ay) * dy) / seg2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        fx = ax + t * dx
+        fy = ay + t * dy
+        d2 = (px - fx) * (px - fx) + (py - fy) * (py - fy)
+        if d2 < best_d2:
+            best_d2 = d2
+            best_i = i
+            best_t = t
+    return best_i, best_t, math.sqrt(best_d2)
+
+
+def _nearest_numpy_per_call_geometry(xs, ys, px, py, nseg, npts):
+    """The whole-track numpy scan as it was before the segment table.
+    Reference for nearest_on_polyline_numpy."""
+    idx = np.arange(nseg)
+    ax = xs[idx]
+    ay = ys[idx]
+    bx = xs[(idx + 1) % npts]
+    by = ys[(idx + 1) % npts]
+    dx = bx - ax
+    dy = by - ay
+    seg2 = dx * dx + dy * dy
+    t = ((px - ax) * dx + (py - ay) * dy) / seg2
+    np.clip(t, 0.0, 1.0, out=t)
+    fx = ax + t * dx
+    fy = ay + t * dy
+    d2 = (px - fx) ** 2 + (py - fy) ** 2
+    i = int(np.argmin(d2))
+    return i, float(t[i]), float(math.sqrt(d2[i]))
+
+
+def _bits(seg, t, dist):
+    return seg, float(t).hex(), float(dist).hex()
+
+
+@pytest.mark.parametrize("track", [
+    straight_track(200.0),
+    circle_track(30.0),
+    racetrack(100.0, 20.0),
+    _BENDY,
+    Track(_BENDY.xs, _BENDY.ys, _BENDY.v_ref, closed=False),
+], ids=["straight", "circle", "racetrack", "bendy", "bendy_open"])
+def test_table_scans_are_the_per_call_geometry_scans(track):
+    # Same segment and the same bits of t and distance as the scans that
+    # rebuilt the geometry on every call: the whole-track numpy scan, and
+    # 88-segment windows from a random start, from a start whose window
+    # crosses a closed track's seam, and from a start near an open
+    # track's end (where the window is cut short).  Every vertex is a
+    # query, so adjacent segments tie.
+    rng = np.random.default_rng(9)
+    xs, ys, nseg, npts, closed = track.xs, track.ys, track.nseg, track.npts, track.closed
+    table = kernels.segment_table(xs, ys, closed)
+    count = min(88, nseg)
+    queries = list(zip(xs.tolist(), ys.tolist()))
+    for _ in range(200):
+        i = int(rng.integers(npts))
+        queries.append((float(xs[i] + rng.normal(0.0, 3.0)), float(ys[i] + rng.normal(0.0, 3.0))))
+    for px, py in queries:
+        got = kernels.nearest_on_polyline_numpy(*(c[:nseg] for c in table), px, py)
+        assert _bits(*got) == _bits(*_nearest_numpy_per_call_geometry(xs, ys, px, py, nseg, npts))
+        for start in (int(rng.integers(nseg)), nseg - int(rng.integers(1, count + 1))):
+            stop = start + count if closed else min(start + count, nseg)
+            seg, t, dist = kernels.nearest_on_polyline(*table, px, py, start, stop)
+            want = _nearest_per_call_geometry(xs, ys, px, py, start, count, nseg, npts, closed)
+            assert _bits(seg % nseg, t, dist) == _bits(*want), (px, py, start)
+
+
+def test_table_scan_ties_match_per_call_geometry():
+    # the centre of a square is equally far from all four sides: each
+    # window, seam-crossing ones included, keeps the first side it scans
+    xs = np.array([-1.0, 1.0, 1.0, -1.0])
+    ys = np.array([-1.0, -1.0, 1.0, 1.0])
+    for closed, nseg in ((True, 4), (False, 3)):
+        table = kernels.segment_table(xs, ys, closed)
+        for start in range(nseg):
+            for count in range(1, nseg + 1):
+                stop = start + count if closed else min(start + count, nseg)
+                seg, t, dist = kernels.nearest_on_polyline(*table, 0.0, 0.0, start, stop)
+                want = _nearest_per_call_geometry(xs, ys, 0.0, 0.0, start, count, nseg, 4, closed)
+                assert _bits(seg % nseg, t, dist) == _bits(*want)
+                assert seg % nseg == start

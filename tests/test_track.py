@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from trackbench import kernels
 from trackbench.models import VehicleParams, VehicleState
 from trackbench.track import (
     Track,
@@ -285,3 +288,167 @@ def test_arc_length_lookup_round_trip(bench_track):
         near = t.nearest(x, y)
         assert near.distance == pytest.approx(0.0, abs=1e-9)
         assert near.s == pytest.approx(s, abs=1e-6)
+
+
+def test_track_copies_and_freezes_its_arrays():
+    xs = np.array([0.0, 1.0, 2.0, 4.0])
+    ys = np.array([0.0, 0.5, 0.0, 1.0])
+    vr = np.array([5.0, 6.0, 7.0, 8.0])
+    for closed in (False, True):
+        t = Track(xs, ys, vr, closed=closed)
+        held = list(vars(t).values())
+        held += [a for v in held if isinstance(v, tuple) for a in v]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        views = [m for m in held if isinstance(m, memoryview)]
+        assert len(arrays) >= 7 + 2 * 5 and views
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3.0
+        for view in views:
+            with pytest.raises(TypeError, match="read-only"):
+                view[0] = 3.0
+        for mine, theirs in ((t.xs, xs), (t.ys, ys), (t.v_ref, vr)):
+            assert not np.shares_memory(mine, theirs)
+    # the caller's arrays stay writable, and writing them changes no track
+    length = t.length
+    xs[0] = -10.0
+    vr[0] = 0.0
+    assert t.xs[0] == 0.0 and t.v_ref[0] == 5.0 and t.length == length
+
+
+def test_track_pickles_and_copies(bench_track):
+    for twin in (pickle.loads(pickle.dumps(bench_track)), copy.deepcopy(bench_track)):
+        assert twin.closed and twin.length == bench_track.length
+        assert twin.nearest(50.0, 1.0, 40) == bench_track.nearest(50.0, 1.0, 40)
+
+
+def _locate_s_searchsorted(track, s):
+    """locate_s as it was on the arrays, with np.searchsorted: the
+    reference for the bisect form on the cum_s list."""
+    if track.closed:
+        s = s % track.length
+    else:
+        s = min(max(s, 0.0), track.length)
+    seg = int(np.searchsorted(track.cum_s, s, side="right")) - 1
+    seg = min(max(seg, 0), track.nseg - 1)
+    t = (s - track.cum_s[seg]) / track.seg_len[seg]
+    return seg, float(min(max(t, 0.0), 1.0))
+
+
+def _lookahead_per_call_geometry(track, px, py, heading, d_l, start, t_lo):
+    """Track.lookahead's search as it was before the segment table, on the
+    waypoint arrays: the reference for the table reads."""
+    def alpha(tx, ty):
+        return kernels.wrap_angle(math.atan2(ty - py, tx - px) - heading)
+
+    xs, ys, nseg, npts = track.xs, track.ys, track.nseg, track.npts
+    seg = start
+    for _ in range(nseg):
+        j = (seg + 1) % npts
+        ax = float(xs[seg] + 0.0 * (xs[j] - xs[seg]))
+        ay = float(ys[seg] + 0.0 * (ys[j] - ys[seg]))
+        dx = float(xs[j]) - ax
+        dy = float(ys[j]) - ay
+        a = dx * dx + dy * dy
+        fx = ax - px
+        fy = ay - py
+        b = 2.0 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - d_l * d_l
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            for tt in ((-b - root) / (2.0 * a), (-b + root) / (2.0 * a)):
+                if t_lo <= tt <= 1.0:
+                    tx = ax + tt * dx
+                    ty = ay + tt * dy
+                    return tx, ty, alpha(tx, ty), False, False
+        seg += 1
+        if track.closed:
+            seg %= nseg
+        elif seg >= nseg:
+            break
+        t_lo = 0.0
+    for k in range(npts):
+        idx = (start + 1 + k) % npts if track.closed else start + 1 + k
+        if idx >= npts:
+            break
+        wx = float(xs[idx])
+        wy = float(ys[idx])
+        if math.hypot(wx - px, wy - py) > d_l:
+            return wx, wy, alpha(wx, wy), True, False
+    tx = float(xs[-1])
+    ty = float(ys[-1])
+    return tx, ty, alpha(tx, ty), track.closed, not track.closed
+
+
+def _hex(values):
+    return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+
+_BENDY = racetrack(50.0, 12.0)
+_TRACKS = [
+    straight_track(200.0),
+    circle_track(30.0),
+    racetrack(100.0, 20.0),
+    _BENDY,
+    Track(_BENDY.xs, _BENDY.ys, _BENDY.v_ref, closed=False),
+]
+_TRACK_IDS = ["straight", "circle", "racetrack", "bendy", "bendy_open"]
+
+
+@pytest.mark.parametrize("track", _TRACKS, ids=_TRACK_IDS)
+def test_locate_s_is_the_searchsorted_form(track):
+    rng = np.random.default_rng(10)
+    queries = track.cum_s.tolist() + [0.0, track.length, -1e-9, -3.0, -2.5 * track.length,
+                                      track.length + 1.0, math.nan, np.float64(17.3)]
+    queries += rng.uniform(-track.length, 2.0 * track.length, 300).tolist()
+    for s in queries:
+        got = track.locate_s(s)
+        assert got[0] == _locate_s_searchsorted(track, s)[0], s
+        assert _hex(got) == _hex(_locate_s_searchsorted(track, s)), s
+
+
+@pytest.mark.parametrize("track", _TRACKS, ids=_TRACK_IDS)
+def test_queries_are_the_per_call_geometry_queries(track, params):
+    # hinted nearest (hints anywhere, so windows cross the seam and the
+    # ends), tracking errors and lookahead against the scans that rebuilt
+    # the geometry on every call
+    from test_kernels import _nearest_numpy_per_call_geometry, _nearest_per_call_geometry
+
+    from trackbench.track import _HINT_BACK, _HINT_FORWARD, _HINT_TRUST_DIST
+
+    def nearest(px, py, hint):
+        start = (hint - _HINT_BACK) % track.nseg if track.closed else max(hint - _HINT_BACK, 0)
+        count = min(_HINT_BACK + _HINT_FORWARD, track.nseg)
+        found = _nearest_per_call_geometry(track.xs, track.ys, px, py, start, count,
+                                           track.nseg, track.npts, track.closed)
+        if found[2] <= _HINT_TRUST_DIST:
+            return found
+        return _nearest_numpy_per_call_geometry(track.xs, track.ys, px, py, track.nseg, track.npts)
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        s = float(rng.uniform(0.0, track.length))
+        px, py = track.point_at_s(s)
+        px += float(rng.normal(0.0, 2.0))
+        py += float(rng.normal(0.0, 2.0))
+        heading = float(rng.uniform(-math.pi, math.pi))
+        hint = int(rng.integers(track.nseg))
+        near = track.nearest(px, py, hint)
+        assert _hex([near.index, near.t, near.distance]) == _hex(nearest(px, py, hint))
+        state = VehicleState(px, py, heading, 8.0)
+        foot = track.tracking_errors(state, "rear_axle", params, hint)
+        assert foot.heading == kernels.wrap_angle(float(track.seg_tangent[foot.nearest_index])
+                                                  - state.theta)
+        d_l = float(rng.uniform(0.5, 30.0))
+        # from the measured rear-axle foot point, and from a global query
+        rx = px - params.dist_rear * math.cos(heading)
+        ry = py - params.dist_rear * math.sin(heading)
+        la = track.lookahead(rx, ry, heading, d_l, foot)
+        want = _lookahead_per_call_geometry(track, rx, ry, heading, d_l, foot.nearest_index, foot.t)
+        assert _hex([la.x, la.y, la.alpha, la.fallback, la.end_of_track]) == _hex(want)
+        la = track.lookahead(px, py, heading, d_l)
+        seg, t, _ = _nearest_numpy_per_call_geometry(track.xs, track.ys, px, py,
+                                                     track.nseg, track.npts)
+        want = _lookahead_per_call_geometry(track, px, py, heading, d_l, seg, t)
+        assert _hex([la.x, la.y, la.alpha, la.fallback, la.end_of_track]) == _hex(want)
