@@ -15,13 +15,12 @@ from dataclasses import fields, replace
 from .classical import SPEED_PID_GAINS, GainSchedule, OutputShaper, PidController, PidGains
 from .geometric import PurePursuitConfig, StanleyConfig
 from .models import VehicleParams, VehicleState
-from .mpc import MpcBounds, MpcConfig, MpcWeights, OptSettings
+from .mpc import MpcBounds, MpcConfig, MpcLateral, MpcWeights, OptSettings
 from .sim import (
     BangBangLateral,
     ConstantAccel,
     CouplingConfig,
     LongitudinalPid,
-    MpcLateral,
     Paired,
     PidLateral,
     PurePursuitLateral,
@@ -48,23 +47,24 @@ def load_json(path) -> dict:
     return data
 
 
-# numeric field annotation -> the types a config value for it may have
-_NUMBERS = {"float": (int, float), "int": int, "float | None": (int, float, type(None))}
+# field annotation -> the types a config value for it may have
+_NUMBERS = {"float": (int, float), "int": int, "float | None": (int, float, type(None)),
+            "bool": bool}
 
 
 def _number(value, kinds, key: str, where: str):
-    """`value` if it is one of `kinds` and not a bool, else a ConfigError
-    naming `key`."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds is int else "a number"
+    """`value` if it is one of `kinds`, and a bool only where `kinds` is
+    bool, else a ConfigError naming `key`."""
+    if (isinstance(value, bool) and kinds is not bool) or not isinstance(value, kinds):
+        kind = {int: "an integer", bool: "true or false"}.get(kinds, "a number")
         raise ConfigError(f"bad {where}: {key!r} must be {kind}, not {type(value).__name__}")
     return value
 
 
 def _check_numbers(callee, spec: dict, where: str) -> None:
     """Check with _number each value `spec` gives for a parameter of
-    `callee` (a function or a dataclass) annotated `float`, `int` or
-    `float | None`."""
+    `callee` (a function or a dataclass) annotated `float`, `int`,
+    `float | None` or `bool`."""
     params = inspect.signature(callee).parameters
     for key, value in spec.items():
         kinds = _NUMBERS.get(params[key].annotation) if key in params else None
@@ -108,7 +108,7 @@ def build_section(cls, spec: dict | None, where: str, **derived):
     The section's keys are the field names.  A field the section leaves out
     takes its value from `derived`, else the class default.  A value given
     for a numeric field must be a number (not a bool), an integer for an
-    int field.
+    int field; one for a bool field must be true or false.
     """
     spec = _take(spec or {}, [f.name for f in fields(cls)], where)
     _check_numbers(cls, spec, where)
@@ -215,7 +215,7 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
         return StanleyLateral(build_section(
             StanleyConfig, law, "stanley", delta_max=params.steer_max))
     if kind == "mpc":
-        return MpcLateral(build_mpc_config(spec), params, dt)
+        return MpcLateral(build_mpc_config(spec), dt)
     if kind == "policy":
         from .learning import Policy
 

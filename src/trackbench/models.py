@@ -211,7 +211,7 @@ def lateral_accel(
 def kin_step_state(
     state: VehicleState, u: ControlInput, dt: float, params: VehicleParams
 ) -> VehicleState:
-    """Kinematic Euler step through the compiled kernel."""
+    """Kinematic Euler step on a VehicleState, through kernels.kin_step."""
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     x, y, theta, v = kernels.kin_step(

@@ -5,13 +5,14 @@ the track, then minimizes a quadratic tracking cost over an m-step control
 sequence with a derivative-free compass (pattern) search: coordinate probes
 with shrinking steps, every iterate projected onto the hard input bounds.
 The search draws no random numbers, so results are bit-for-bit
-reproducible.
+reproducible.  MpcLateral is the controller that runs it in a simulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,12 +98,6 @@ class OptResult:
     evaluations: int
 
 
-def control_at(seq: np.ndarray, i: int) -> tuple[float, float]:
-    """Sequence entry with the hold-last rule beyond m."""
-    j = min(i, seq.shape[0] - 1)
-    return float(seq[j, 0]), float(seq[j, 1])
-
-
 def predict(
     state: tuple[float, float, float, float],
     seq: np.ndarray,
@@ -139,7 +134,8 @@ def stage_cost(
     cost = 0.0
     pa, pd = prev_u
     for i in range(p):
-        a, d = control_at(seq, i)
+        j = min(i, seq.shape[0] - 1)  # hold the last input beyond m
+        a, d = float(seq[j, 0]), float(seq[j, 1])
         da = a - pa
         dd = d - pd
         cost += w.d_accel * da * da + w.d_steer * dd * dd
@@ -284,54 +280,71 @@ def build_reference(
     return refs, near.index, end
 
 
-class MpcController:
-    """Stateful receding-horizon controller: warm start + latency queue."""
+class MpcLateral:
+    """Receding-horizon controller on its own divisor schedule.
 
-    def __init__(self, cfg: MpcConfig, params: VehicleParams):
+    It is a law for both channels.  It solves on every `tick`-th sim step
+    (tick = round(ts/dt), at least 1; ts becomes tick*dt), in whichever of
+    accel() and steer() runs first, and holds the command in between, so
+    paired with itself ("longitudinal": {"type": "mpc"}) both channels of a
+    solve apply on the same step.  The held command is the solver's
+    previous input, and each solve warm-starts from the last sequence
+    shifted one step.  The vehicle, state and track come from the run's
+    ControlContext.
+    """
+
+    def __init__(self, cfg: MpcConfig, dt: float):
+        tick = max(1, round(cfg.ts / dt))
+        if abs(tick * dt - cfg.ts) > 1e-9:
+            cfg = replace(cfg, ts=tick * dt)
         self.cfg = cfg
-        self.params = params
-        self.prev_u = (0.0, 0.0)
-        self._warm: np.ndarray | None = None
-        self._hint: int | None = None
-        self._pending: list[tuple[float, float]] = []
-        self.last_result: OptResult | None = None
-        self.end_of_track = False
+        self.tick = tick
+        self.reset()
 
     def reset(self) -> None:
-        self.prev_u = (0.0, 0.0)
-        self._warm = None
-        self._hint = None
-        self._pending = []
-        self.last_result = None
-        self.end_of_track = False
+        self._command = (0.0, 0.0)
+        self._warm: np.ndarray | None = None
+        self._hint: int | None = None
+        # the commands issued but not yet acting on the plant
+        self._pending: deque[tuple[float, float]] = deque(maxlen=self.cfg.latency_steps)
+        self._solved_at = -1
+        self.last_result: OptResult | None = None
 
-    def step(self, state: tuple[float, float, float, float], track: Track) -> tuple[float, float]:
+    def _command_at(self, ctx) -> tuple[float, float]:
+        k = ctx.step_index
+        if k % self.tick or k == self._solved_at:
+            return self._command
+        self._solved_at = k
         cfg = self.cfg
-        # latency compensation: forward-simulate through the commands already
-        # issued but not yet acting on the plant
-        sim = state
+        params = ctx.params
+        # latency compensation: forward-simulate through the pending commands
+        sim = ctx.state
         for a, d in self._pending:
             sim = kernels.kin_step(
                 sim[0], sim[1], sim[2], sim[3], a, d, cfg.ts,
-                self.params.wheelbase, self.params.dist_rear,
+                params.wheelbase, params.dist_rear,
             )
-        refs, self._hint, end = build_reference(track, sim, cfg, self._hint)
-        self.end_of_track = end
-        result = optimize(sim, refs, self.prev_u, cfg, self.params, self._warm)
+        refs, self._hint, end = build_reference(ctx.track, sim, cfg, self._hint)
+        if end:
+            ctx.end_of_track = True
+        result = optimize(sim, refs, self._command, cfg, params, self._warm)
         self.last_result = result
-        u = (float(result.seq[0, 0]), float(result.seq[0, 1]))
+        seq = result.seq
         # shift one step for the next warm start, into one buffer that
         # optimize copies from
         if self._warm is None:
-            self._warm = np.empty_like(result.seq)
-        self._warm[:-1] = result.seq[1:]
-        self._warm[-1] = result.seq[-1]
-        self.prev_u = u
-        if cfg.latency_steps > 0:
-            self._pending.append(u)
-            if len(self._pending) > cfg.latency_steps:
-                self._pending.pop(0)
-        return u
+            self._warm = np.empty_like(seq)
+        self._warm[:-1] = seq[1:]
+        self._warm[-1] = seq[-1]
+        self._command = (float(seq[0, 0]), float(seq[0, 1]))
+        self._pending.append(self._command)
+        return self._command
+
+    def accel(self, ctx) -> float:
+        return self._command_at(ctx)[0]
+
+    def steer(self, ctx) -> float:
+        return self._command_at(ctx)[1]
 
 
 def design_params(t_r: float, t_s: float) -> dict[str, tuple[float, float]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -35,7 +35,6 @@ from .models import (
     clamp,
     dynamic_step,
 )
-from .mpc import MpcConfig, MpcController
 from .track import Track, TrackingErrors
 
 TERMINATIONS = ("completed", "max_steps", "diverged", "off_track", "end_of_track")
@@ -340,46 +339,6 @@ class StanleyLateral:
 
     def steer(self, ctx: ControlContext) -> float:
         return stanley_steer(self.cfg, ctx.errors("front_axle"), ctx.state[3])
-
-
-class MpcLateral:
-    """Receding-horizon controller on its own divisor schedule.
-
-    It is a law for both channels.  It solves on every `tick`-th sim step
-    (tick = ts/dt), in whichever of accel() and steer() runs first, and
-    holds the command in between, so paired with itself ("longitudinal":
-    {"type": "mpc"}) both channels of a solve apply on the same step.
-    """
-
-    def __init__(self, cfg: MpcConfig, params: VehicleParams, dt: float):
-        tick = max(1, round(cfg.ts / dt))
-        if abs(tick * dt - cfg.ts) > 1e-9:
-            cfg = replace(cfg, ts=tick * dt)
-        self.cfg = cfg
-        self.tick = tick
-        self.controller = MpcController(cfg, params)
-        self._command = (0.0, 0.0)
-        self._solved_at = -1
-
-    def reset(self) -> None:
-        self.controller.reset()
-        self._command = (0.0, 0.0)
-        self._solved_at = -1
-
-    def _command_at(self, ctx: ControlContext) -> tuple[float, float]:
-        k = ctx.step_index
-        if k % self.tick == 0 and k != self._solved_at:
-            self._solved_at = k
-            self._command = self.controller.step(ctx.state, ctx.track)
-            if self.controller.end_of_track:
-                ctx.end_of_track = True
-        return self._command
-
-    def accel(self, ctx: ControlContext) -> float:
-        return self._command_at(ctx)[0]
-
-    def steer(self, ctx: ControlContext) -> float:
-        return self._command_at(ctx)[1]
 
 
 # --------------------------------------------------------------- sim loop

@@ -366,6 +366,12 @@ class Track:
 # ------------------------------------------------------------- generators
 
 
+def _require_sizes(**sizes: float) -> None:
+    for name, value in sizes.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def straight_track(
     length: float = 200.0,
     spacing: float = 1.0,
@@ -373,6 +379,7 @@ def straight_track(
     start: tuple[float, float] = (0.0, 0.0),
     heading: float = 0.0,
 ) -> Track:
+    _require_sizes(length=length, spacing=spacing)
     n = max(int(round(length / spacing)), 1)
     s = np.linspace(0.0, length, n + 1)
     xs = start[0] + s * math.cos(heading)
@@ -381,6 +388,7 @@ def straight_track(
 
 
 def circle_track(radius: float = 30.0, spacing: float = 1.0, v_ref: float = 8.0) -> Track:
+    _require_sizes(radius=radius, spacing=spacing)
     n = max(int(round(2.0 * math.pi * radius / spacing)), 8)
     ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     # start at the bottom heading east so the lap runs counter-clockwise
@@ -396,6 +404,7 @@ def racetrack(
     v_ref: float = 8.0,
 ) -> Track:
     """Two straights joined by two 180-degree arcs, counter-clockwise."""
+    _require_sizes(straight=straight, radius=radius, spacing=spacing)
     xs: list[float] = []
     ys: list[float] = []
 

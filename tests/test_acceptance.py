@@ -45,13 +45,12 @@ from trackbench.models import (
     step_second_order,
     turn_radius,
 )
-from trackbench.mpc import MpcConfig, build_reference, design_params, optimize
+from trackbench.mpc import MpcConfig, MpcLateral, build_reference, design_params, optimize
 from trackbench.nn import AdamState, Mlp, adam_step, grad_list, loss, loss_grad
 from trackbench.sim import (
     BangBangLateral,
     CouplingConfig,
     LongitudinalPid,
-    MpcLateral,
     Paired,
     PidLateral,
     PurePursuitLateral,
@@ -260,7 +259,7 @@ def test_criterion_4_controller_ladder(bench_track, params):
     worst_heading = float(np.max(np.abs(e_head[straights])))
     assert worst_heading < 0.05
 
-    mpc_lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), params, dt=0.02)
+    mpc_lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), dt=0.02)
     mpc = run(mpc_lat, mpc_lat)
     assert mpc.termination == "completed"
     mpc_rms = rms(mpc)

@@ -22,13 +22,12 @@ from trackbench.config import (
 from trackbench.geometric import PurePursuitConfig, StanleyConfig
 from trackbench.learning import EnvConfig, Policy
 from trackbench.models import VehicleParams, VehicleState
-from trackbench.mpc import MpcConfig
+from trackbench.mpc import MpcConfig, MpcLateral
 from trackbench.sim import (
     BangBangLateral,
     ConstantAccel,
     CouplingConfig,
     LongitudinalPid,
-    MpcLateral,
     PidLateral,
     PurePursuitLateral,
     SimConfig,
@@ -100,6 +99,10 @@ def test_build_track_csv_takes_v_ref_and_closed(tmp_path):
     t = build_track({"kind": "csv", "path": str(csv_path)})
     assert not t.closed
     assert np.all(t.v_ref == 8.0)
+    # 'closed' is a JSON boolean, not any truthy value
+    for closed in ("no", 1, None):
+        with pytest.raises(ConfigError, match="'closed' must be true or false"):
+            build_track({"kind": "csv", "path": str(csv_path), "closed": closed})
 
 
 def test_build_track_names_unknown_key(tmp_path):
@@ -129,6 +132,14 @@ def test_build_track_rejections():
         build_track({"kind": "csv"})
     with pytest.raises(ConfigError):
         build_track({"kind": "straight", "length": 50.0, "v_ref": -1.0})
+    # generated tracks take only positive sizes
+    for spec, key in (({"kind": "straight", "spacing": 0}, "spacing"),
+                      ({"kind": "straight", "length": -10}, "length"),
+                      ({"kind": "circle", "radius": -5}, "radius"),
+                      ({"kind": "racetrack", "spacing": -1}, "spacing"),
+                      ({"kind": "racetrack", "straight": 0}, "straight")):
+        with pytest.raises(ConfigError, match=key):
+            build_track(spec)
 
 
 def test_build_shaper():

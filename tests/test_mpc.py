@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from trackbench import kernels
+from trackbench import kernels, mpc
 from trackbench.mpc import (
     MpcBounds,
     MpcConfig,
-    MpcController,
+    MpcLateral,
     MpcWeights,
     OptSettings,
     build_reference,
@@ -16,6 +16,7 @@ from trackbench.mpc import (
     predict,
     stage_cost,
 )
+from trackbench.sim import ControlContext, Paired, SimConfig, simulate
 from trackbench.track import Track, racetrack, straight_track
 
 from test_kernels import _mpc_cost_kin_step_loop
@@ -360,22 +361,26 @@ def test_optimize_same_with_kin_step_loop_cost(bench_track, params, monkeypatch,
 
 def test_controller_straight_track_near_zero_steer(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
-    ctrl = MpcController(MpcConfig(ts=0.05, p=10, m=3), params)
-    accel, steer = ctrl.step((0.0, 0.0, 0.0, 8.0), track)
-    assert abs(steer) < math.radians(0.5)
+    ctrl = MpcLateral(MpcConfig(ts=0.05, p=10, m=3), dt=0.05)
+    ctx = ControlContext(track, params, 0.05)
+    ctx.advance((0.0, 0.0, 0.0, 8.0))
+    assert abs(ctrl.steer(ctx)) < math.radians(0.5)
     assert ctrl.last_result is not None
     assert ctrl.last_result.status in ("converged", "iteration-capped")
+    assert not ctx.end_of_track
 
 
 def test_controller_is_reproducible(params):
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     outs = []
     for _ in range(2):
-        ctrl = MpcController(MpcConfig(ts=0.05, p=10, m=3), params)
+        ctrl = MpcLateral(MpcConfig(ts=0.05, p=10, m=3), dt=0.05)
+        ctx = ControlContext(track, params, 0.05)
         state = (0.0, 0.8, 0.05, 7.0)
         seq = []
         for _ in range(5):
-            u = ctrl.step(state, track)
+            ctx.advance(state)
+            u = (ctrl.accel(ctx), ctrl.steer(ctx))
             seq.append(u)
             state = kernels.kin_step(
                 state[0], state[1], state[2], state[3], u[0], u[1], 0.05,
@@ -385,16 +390,38 @@ def test_controller_is_reproducible(params):
     assert outs[0] == outs[1]
 
 
+def test_ts_rounds_to_whole_sim_steps():
+    lat = MpcLateral(MpcConfig(ts=0.05), dt=0.02)
+    assert lat.tick == 2
+    assert lat.cfg.ts == 0.04
+
+
+def test_reset_clears_every_carried_state(params):
+    # the latency queue, warm start, track hint and held command all carry
+    # over between solves; a second run of the same controller must not see
+    # what the first left behind
+    from trackbench.models import VehicleState
+
+    track = straight_track(60.0, spacing=1.0, v_ref=8.0)
+    lat = MpcLateral(MpcConfig(ts=0.05, p=10, m=3, latency_steps=2), dt=0.05)
+    cfg = SimConfig(dt=0.05, max_steps=30, actuator_delay_steps=2,
+                    initial=VehicleState(x=0.0, y=0.6, theta=0.05, v=7.0))
+    first = simulate(cfg, track, params, Paired(lat, lat))
+    assert len(lat._pending) == 2 and lat._command != (0.0, 0.0)
+    second = simulate(cfg, track, params, Paired(lat, lat))
+    assert first.rows.shape[0] > 20
+    assert first.rows.tobytes() == second.rows.tobytes()
+
+
 def test_latency_compensation_recovers_tracking(bench_track, params):
     # 4 sim steps of actuator delay at dt = Ts: the compensated controller
     # forward-simulates through the queued commands and keeps tracking tight
     from trackbench.models import VehicleState
-    from trackbench.sim import MpcLateral, Paired, SimConfig, simulate
 
     rms = {}
     for latency in (0, 4):
         cfg = MpcConfig(ts=0.05, p=20, m=4, latency_steps=latency)
-        lat = MpcLateral(cfg, params, dt=0.05)
+        lat = MpcLateral(cfg, dt=0.05)
         init = VehicleState(x=bench_track.xs[0], y=bench_track.ys[0] + 0.3, theta=0.0, v=8.0)
         rec = simulate(
             SimConfig(dt=0.05, initial=init, actuator_delay_steps=4),
@@ -407,23 +434,23 @@ def test_latency_compensation_recovers_tracking(bench_track, params):
     assert rms[4] < 0.1
 
 
-def test_both_channels_of_a_solve_apply_on_the_same_step(params):
+def test_both_channels_of_a_solve_apply_on_the_same_step(params, monkeypatch):
     # paired with itself, the MPC's acceleration and steering of one solve
     # reach the plant on the step of that solve, and are held for tick steps
     from trackbench.models import VehicleState
-    from trackbench.sim import MpcLateral, Paired, SimConfig, simulate
 
     track = racetrack(100.0, 20.0, v_ref=12.0)
     init = VehicleState(x=float(track.xs[0]), y=float(track.ys[0]) + 0.5, theta=0.0, v=10.0)
-    lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), params, dt=0.025)
+    lat = MpcLateral(MpcConfig(ts=0.05, p=20, m=4), dt=0.025)
     planned = []
-    solve = lat.controller.step
+    solve = mpc.optimize
 
-    def recording_solve(state, trk):
-        planned.append(solve(state, trk))
-        return planned[-1]
+    def recording_optimize(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        planned.append((float(result.seq[0, 0]), float(result.seq[0, 1])))
+        return result
 
-    lat.controller.step = recording_solve
+    monkeypatch.setattr(mpc, "optimize", recording_optimize)
     rec = simulate(SimConfig(dt=0.025, initial=init, max_steps=8), track, params, Paired(lat, lat))
     assert lat.tick == 2 and len(planned) == 4
     applied = list(zip(rec.column("accel").tolist(), rec.column("steer").tolist()))
