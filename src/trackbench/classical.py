@@ -112,10 +112,6 @@ class PidController:
     def integral(self) -> float:
         return clamp(self._sum, -self.integral_clamp, self.integral_clamp)
 
-    def window_sum(self) -> float:
-        """Brute-force sum over the retained FIFO window (test oracle)."""
-        return sum(e * h for e, h in self._buf)
-
     def step(self, error: float, dt: float, scheduling_value: float | None = None) -> float:
         if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")

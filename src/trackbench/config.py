@@ -102,6 +102,13 @@ def _pick(spec: dict, keys) -> dict:
     return {k: spec[k] for k in keys if k in spec}
 
 
+def _reject_unread(spec: dict, keys, reader: str) -> None:
+    """A ConfigError naming those of `keys`, all unread by `reader`, that `spec` gives."""
+    given = sorted(set(spec) & set(keys))
+    if given:
+        raise ConfigError(f"{reader} reads none of {given}")
+
+
 def build_section(cls, spec: dict | None, where: str, **derived):
     """Build dataclass `cls` from a config section.
 
@@ -169,9 +176,8 @@ def _schedule_row(row, where: str) -> tuple[float, PidGains]:
 def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidController:
     """A PID from its section; fixed gains it leaves out keep `gains`."""
     spec = _take(spec, ("type", "shaper", "schedule", *_GAINS, *_PID_OPTIONS), where)
-    fixed = sorted(set(spec) & set(_GAINS))
-    if "schedule" in spec and fixed:
-        raise ConfigError(f"{where} gives both a 'schedule' and fixed gain(s) {fixed}")
+    if "schedule" in spec:
+        _reject_unread(spec, _GAINS, f"{where} with a 'schedule'")
     _check_numbers(PidGains, _pick(spec, _GAINS), where)
     _check_numbers(PidController, _pick(spec, _PID_OPTIONS), where)
     try:
@@ -189,17 +195,20 @@ def _law(spec: dict) -> dict:
     return {k: v for k, v in spec.items() if k not in ("type", "shaper")}
 
 
-def build_mpc_config(spec: dict) -> MpcConfig:
+def build_mpc_config(spec: dict, params: VehicleParams) -> MpcConfig:
+    """The MPC's config; hard input bounds it leaves out are the vehicle's."""
     law = _law(spec)
-    for name, cls in (("weights", MpcWeights), ("bounds", MpcBounds), ("opt", OptSettings)):
+    for name, cls in (("weights", MpcWeights), ("opt", OptSettings)):
         law[name] = build_section(cls, law.get(name), f"mpc.{name}")
+    law["bounds"] = build_section(
+        MpcBounds, law.get("bounds"), "mpc.bounds", accel_min=-params.decel_max,
+        accel_max=params.accel_max, steer_max=params.steer_max)
     return build_section(MpcConfig, law, "mpc")
 
 
 def build_lateral(spec: dict, params: VehicleParams, dt: float):
     """The steering law of a lateral spec; its 'shaper' is built by build_run.
-    Every law but the MPC takes the vehicle's steering limit unless it sets
-    its own."""
+    Every law takes the vehicle's steering limit unless it sets its own."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("lateral spec needs a 'type' key")
     kind = spec["type"]
@@ -209,13 +218,15 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
     if kind == "pid":
         return PidLateral(_build_pid(spec, "lateral pid"))
     if kind == "pure_pursuit":
-        return PurePursuitLateral(build_section(
-            PurePursuitConfig, law, "pure_pursuit", delta_max=params.steer_max))
+        cfg = build_section(PurePursuitConfig, law, "pure_pursuit", delta_max=params.steer_max)
+        if cfg.d_l_fixed is not None:
+            _reject_unread(law, ("k_v", "d_l_min", "d_l_max"), "pure_pursuit with 'd_l_fixed'")
+        return PurePursuitLateral(cfg)
     if kind == "stanley":
         return StanleyLateral(build_section(
             StanleyConfig, law, "stanley", delta_max=params.steer_max))
     if kind == "mpc":
-        return MpcLateral(build_mpc_config(spec), dt)
+        return MpcLateral(build_mpc_config(spec, params), dt)
     if kind == "policy":
         from .learning import Policy
 
@@ -248,8 +259,20 @@ def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
     raise ConfigError(f"unknown longitudinal type {kind!r}")
 
 
+# the constants each coupling mode leaves unread (see sim.couple_limits);
+# every mode reads v_max
+_COUPLING_UNREAD = {
+    "decoupled": ("c_speed", "c_steer", "steer_scale", "w_long", "w_lat"),
+    "long_dominant": ("c_steer", "steer_scale", "w_long", "w_lat"),
+    "lat_dominant": ("c_speed", "w_long", "w_lat"),
+    "mutual": (),
+}
+
+
 def build_coupling(spec: dict | None) -> CouplingConfig:
-    return build_section(CouplingConfig, spec, "coupling")
+    coupling = build_section(CouplingConfig, spec, "coupling")
+    _reject_unread(spec or {}, _COUPLING_UNREAD[coupling.mode], f"coupling mode {coupling.mode!r}")
+    return coupling
 
 
 def build_initial(spec: dict | None) -> VehicleState | None:

@@ -54,8 +54,7 @@ class Policy:
     """
 
     def __init__(self, mlp: Mlp | None = None, steer_max: float = STEER_MAX,
-                 hidden=(32, 32), rng: np.random.Generator | None = None,
-                 sigma: float | None = None):
+                 hidden=(32, 32), rng: np.random.Generator | None = None):
         if mlp is None:
             sizes = [OBS_DIM, *hidden, 1]
             acts = ["tanh"] * (len(sizes) - 1)
@@ -68,8 +67,6 @@ class Policy:
             raise ValueError(f"steer_max must be > 0, got {steer_max}")
         self.mlp = mlp
         self.steer_max = steer_max
-        # exploration noise scale used when sampling actions during training
-        self.sigma = 0.1 * steer_max if sigma is None else sigma
 
     def reset(self) -> None:
         pass
@@ -333,11 +330,13 @@ def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
 
     Advantages are undiscounted reward-to-go minus the batch mean; the
     surrogate gradient is zeroed wherever clipping makes the objective
-    locally flat.  Returns (best policy found, per-iteration mean rewards).
+    locally flat.  The exploration noise sigma defaults to a tenth of the
+    policy's steering limit.  Returns (best policy found, per-iteration mean
+    rewards).
     """
     rng = np.random.default_rng(seed)
     if sigma is None:
-        sigma = policy.sigma
+        sigma = 0.1 * policy.steer_max
     adam = AdamState(policy.mlp.parameters(), alpha=alpha)
     history = []
     best_reward = -math.inf

@@ -208,19 +208,6 @@ def lateral_accel(
     return ddy, ddtheta
 
 
-def kin_step_state(
-    state: VehicleState, u: ControlInput, dt: float, params: VehicleParams
-) -> VehicleState:
-    """Kinematic Euler step on a VehicleState, through kernels.kin_step."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    x, y, theta, v = kernels.kin_step(
-        state.x, state.y, state.theta, state.v, u.accel, u.steer, dt,
-        params.wheelbase, params.dist_rear,
-    )
-    return VehicleState(x=x, y=y, theta=theta, v=v)
-
-
 def dynamic_step(
     state: DynamicState,
     u: ControlInput,
@@ -239,17 +226,15 @@ def dynamic_step(
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if state.v <= V_MIN_LATERAL:
-        kin = kin_step_state(
-            VehicleState(state.x, state.y, state.theta, state.v), u, dt, params
+        x, y, theta, v = kernels.kin_step(
+            state.x, state.y, state.theta, state.v, u.accel, u.steer, dt,
+            params.wheelbase, params.dist_rear,
         )
         beta = slip_angle(u.steer, params)
         return DynamicState(
-            x=kin.x,
-            y=kin.y,
-            theta=kin.theta,
-            v=kin.v,
-            lat_vel=kin.v * math.sin(beta),
-            yaw_rate=kin.v * math.tan(u.steer) * math.cos(beta) / params.wheelbase,
+            x, y, theta, v,
+            lat_vel=v * math.sin(beta),
+            yaw_rate=v * math.tan(u.steer) * math.cos(beta) / params.wheelbase,
             slip=beta,
         )
 

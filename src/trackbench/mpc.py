@@ -98,74 +98,6 @@ class OptResult:
     evaluations: int
 
 
-def predict(
-    state: tuple[float, float, float, float],
-    seq: np.ndarray,
-    cfg: MpcConfig,
-    params: VehicleParams,
-) -> np.ndarray:
-    """Roll the kinematic plant p steps at Ts; rows are (x, y, theta, v)."""
-    out = np.empty((cfg.p, 4))
-    kernels.kin_rollout(
-        state[0], state[1], state[2], state[3],
-        np.ascontiguousarray(seq, dtype=np.float64),
-        cfg.ts, params.wheelbase, params.dist_rear, out,
-    )
-    return out
-
-
-def stage_cost(
-    pred: np.ndarray,
-    refs: np.ndarray,
-    seq: np.ndarray,
-    prev_u: tuple[float, float],
-    cfg: MpcConfig,
-) -> float:
-    """Reference cost evaluation (readable numpy form).
-
-    The optimizer uses the fused kernel; this function states the same sum
-    and the tests pin their agreement.
-    """
-    p = pred.shape[0]
-    if refs.shape[0] != p:
-        raise ValueError(f"need {p} reference states, got {refs.shape[0]}")
-    w = cfg.weights
-    b = cfg.bounds
-    cost = 0.0
-    pa, pd = prev_u
-    for i in range(p):
-        j = min(i, seq.shape[0] - 1)  # hold the last input beyond m
-        a, d = float(seq[j, 0]), float(seq[j, 1])
-        da = a - pa
-        dd = d - pd
-        cost += w.d_accel * da * da + w.d_steer * dd * dd
-        if b.accel_rate > 0.0:
-            ex = abs(da) - b.accel_rate * cfg.ts
-            if ex > 0.0:
-                cost += b.soft_penalty * ex * ex
-        if b.steer_rate > 0.0:
-            ex = abs(dd) - b.steer_rate * cfg.ts
-            if ex > 0.0:
-                cost += b.soft_penalty * ex * ex
-        pa, pd = a, d
-        dx = pred[i, 0] - refs[i, 0]
-        dy = pred[i, 1] - refs[i, 1]
-        eh = kernels.wrap_angle(pred[i, 2] - refs[i, 2])
-        ev = refs[i, 3] - pred[i, 3]
-        cost += w.pos * (dx * dx + dy * dy) + w.head * eh * eh + w.vel * ev * ev
-        if b.v_max > 0.0:
-            over = pred[i, 3] - b.v_max
-            if over > 0.0:
-                cost += b.soft_penalty * over * over
-    return float(cost)
-
-
-def _project(seq: np.ndarray, b: MpcBounds) -> np.ndarray:
-    np.clip(seq[:, 0], b.accel_min, b.accel_max, out=seq[:, 0])
-    np.clip(seq[:, 1], -b.steer_max, b.steer_max, out=seq[:, 1])
-    return seq
-
-
 def optimize(
     state: tuple[float, float, float, float],
     refs: np.ndarray,
@@ -197,7 +129,9 @@ def optimize(
         seq = np.array(warm, dtype=np.float64)
     else:
         seq = np.tile(np.array(prev_u, dtype=np.float64), (cfg.m, 1))
-    _project(seq, b)
+    # project the start onto the hard input bounds
+    np.clip(seq[:, 0], b.accel_min, b.accel_max, out=seq[:, 0])
+    np.clip(seq[:, 1], -b.steer_max, b.steer_max, out=seq[:, 1])
 
     # per-channel probe steps: a quarter of each admissible range
     step_a = 0.25 * (b.accel_max - b.accel_min)

@@ -154,12 +154,6 @@ class Track:
             vr = np.full(len(xs), 8.0 if v_ref is None else v_ref)
         return cls(xs, ys, vr, closed)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("x,y,v_ref\n")
-            for x, y, v in zip(self.xs, self.ys, self.v_ref):
-                fh.write(f"{x:.12g},{y:.12g},{v:.12g}\n")
-
     # ------------------------------------------------------- geometry utils
 
     def _waypoint_curvature(self) -> np.ndarray:
@@ -380,6 +374,12 @@ def straight_track(
     heading: float = 0.0,
 ) -> Track:
     _require_sizes(length=length, spacing=spacing)
+    if not (isinstance(start, (list, tuple)) and len(start) == 2 and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+            for c in start)):
+        raise ValueError(f"start must be two finite numbers [x, y], got {start!r}")
+    if not math.isfinite(heading):
+        raise ValueError(f"heading must be finite, got {heading}")
     n = max(int(round(length / spacing)), 1)
     s = np.linspace(0.0, length, n + 1)
     xs = start[0] + s * math.cos(heading)

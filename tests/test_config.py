@@ -71,7 +71,7 @@ def test_non_number_for_numeric_field_names_the_key():
     with pytest.raises(ConfigError, match=r"'max_steps' must be an integer, not float"):
         build_run({"lateral": {"type": "stanley"}, "max_steps": 100.5})
     with pytest.raises(ConfigError, match=r"'p' must be an integer, not bool"):
-        build_mpc_config({"p": True})
+        build_mpc_config({"p": True}, VehicleParams())
     assert build_vehicle({"mass": 1200}).mass == 1200
     assert build_section(PurePursuitConfig, {"d_l_fixed": None}, "pure_pursuit").d_l_fixed is None
 
@@ -140,6 +140,16 @@ def test_build_track_rejections():
                       ({"kind": "racetrack", "straight": 0}, "straight")):
         with pytest.raises(ConfigError, match=key):
             build_track(spec)
+    # a straight track's start is two finite numbers, its heading finite
+    for spec, key in (({"kind": "straight", "start": [1]}, "start"),
+                      ({"kind": "straight", "start": {"x": 1}}, "start"),
+                      ({"kind": "straight", "start": [1, 2, 3]}, "start"),
+                      ({"kind": "straight", "start": [True, 0]}, "start"),
+                      ({"kind": "straight", "start": [math.nan, 0]}, "start"),
+                      ({"kind": "straight", "start": "ab"}, "start"),
+                      ({"kind": "straight", "heading": math.inf}, "heading")):
+        with pytest.raises(ConfigError, match=key):
+            build_track(spec)
 
 
 def test_build_shaper():
@@ -198,7 +208,7 @@ def test_build_mpc_config_nested_sections():
         "weights": {"pos": 2.0},
         "bounds": {"steer_max_deg": 20.0, "accel_min": -4.0},
         "opt": {"max_iter": 30},
-    })
+    }, VehicleParams())
     assert cfg.ts == 0.1
     assert cfg.weights.pos == 2.0
     assert cfg.weights.head == 3.0  # untouched default
@@ -206,13 +216,24 @@ def test_build_mpc_config_nested_sections():
     assert cfg.bounds.accel_min == -4.0
     assert cfg.opt.max_iter == 30
     with pytest.raises(ConfigError):
-        build_mpc_config({"weights": {"position": 1.0}})
+        build_mpc_config({"weights": {"position": 1.0}}, VehicleParams())
     with pytest.raises(ConfigError):
-        build_mpc_config({"p": 2, "m": 5})
+        build_mpc_config({"p": 2, "m": 5}, VehicleParams())
     # the solver reads neither a tolerance nor a seed
     for key in ("tol", "seed"):
         with pytest.raises(ConfigError, match=key):
-            build_mpc_config({"opt": {key: 1}})
+            build_mpc_config({"opt": {key: 1}}, VehicleParams())
+
+
+def test_mpc_hard_bounds_default_to_the_vehicle_limits():
+    vehicle = VehicleParams(steer_max=0.3, accel_max=2.0, decel_max=4.0)
+    bounds = build_lateral({"type": "mpc"}, vehicle, 0.02).cfg.bounds
+    assert (bounds.accel_min, bounds.accel_max, bounds.steer_max) == (-4.0, 2.0, 0.3)
+    # keys the section gives win over the vehicle's limits
+    given = build_mpc_config({"bounds": {"accel_min": -1.0, "steer_max_deg": 10.0}},
+                             vehicle).bounds
+    assert (given.accel_min, given.accel_max, given.steer_max) == (-1.0, 2.0,
+                                                                   math.radians(10.0))
 
 
 def test_build_longitudinal_variants(params):
@@ -233,10 +254,43 @@ def test_build_coupling():
     cpl = build_coupling({"mode": "long_dominant", "c_speed": 12.0})
     assert cpl.mode == "long_dominant"
     assert cpl.c_speed == 12.0
+    # each mode takes the constants it reads
+    for spec in ({"v_max": 20.0},
+                 {"mode": "lat_dominant", "c_steer": 2.0, "steer_scale": 1.0, "v_max": 20.0},
+                 {"mode": "mutual", "c_speed": 12.0, "c_steer": 2.0, "steer_scale": 1.0,
+                  "w_long": 0.5, "w_lat": 0.5, "v_max": 20.0}):
+        assert build_coupling(spec) == CouplingConfig(**spec)
     with pytest.raises(ConfigError):
         build_coupling({"mode": "diagonal"})
     with pytest.raises(ConfigError):
         build_coupling({"speed": 12.0})
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"c_speed": 12.0}, "c_speed"),
+    ({"mode": "decoupled", "c_steer": 2.0}, "c_steer"),
+    ({"mode": "decoupled", "steer_scale": 2.0}, "steer_scale"),
+    ({"mode": "decoupled", "w_long": 0.5}, "w_long"),
+    ({"mode": "decoupled", "w_lat": 0.5}, "w_lat"),
+    ({"mode": "long_dominant", "c_steer": 2.0}, "c_steer"),
+    ({"mode": "long_dominant", "steer_scale": 2.0}, "steer_scale"),
+    ({"mode": "long_dominant", "w_long": 0.5}, "w_long"),
+    ({"mode": "lat_dominant", "c_speed": 12.0}, "c_speed"),
+    ({"mode": "lat_dominant", "w_lat": 0.5}, "w_lat"),
+], ids=str)
+def test_coupling_constant_its_mode_never_reads_is_config_error(spec, key):
+    with pytest.raises(ConfigError, match=key):
+        build_coupling(spec)
+
+
+@pytest.mark.parametrize("key", ["k_v", "d_l_min", "d_l_max"])
+def test_pure_pursuit_fixed_lookahead_rejects_speed_keys(params, key):
+    # a fixed lookahead distance never reads the speed-coupled law's keys
+    with pytest.raises(ConfigError, match=key):
+        build_lateral({"type": "pure_pursuit", "d_l_fixed": 8.0, key: 3.0}, params, 0.02)
+    # with d_l_fixed null the speed-coupled law reads them
+    lat = build_lateral({"type": "pure_pursuit", "d_l_fixed": None, key: 3.0}, params, 0.02)
+    assert getattr(lat.cfg, key) == 3.0
 
 
 def test_build_run_assembles_everything():
@@ -287,7 +341,7 @@ NARROW = VehicleParams(steer_max=0.3)
     (lambda: build_shaper({}), OutputShaper()),
     (lambda: build_section(VehicleState, {}, "initial"), VehicleState()),
     (lambda: build_run({"lateral": {"type": "stanley"}})[0], SimConfig()),
-    (lambda: build_mpc_config({}), MpcConfig()),
+    (lambda: build_mpc_config({}, VehicleParams()), MpcConfig()),
     (lambda: build_section(PidGains, {}, "schedule row"), PidGains()),
     (lambda: build_section(EnvConfig, {}, "env"), EnvConfig()),
     (lambda: build_lateral({"type": "bang_bang"}, NARROW, 0.02),
@@ -309,7 +363,7 @@ def test_empty_initial_section_starts_on_track():
 
 @pytest.mark.parametrize("build,limit", [
     (lambda s: build_vehicle(s), "steer_max"),
-    (lambda s: build_mpc_config({"bounds": s}), "steer_max"),
+    (lambda s: build_mpc_config({"bounds": s}, NARROW), "steer_max"),
     (lambda s: build_lateral({"type": "bang_bang", **s}, NARROW, 0.02), "u_max"),
     (lambda s: build_lateral({"type": "pure_pursuit", **s}, NARROW, 0.02), "delta_max"),
     (lambda s: build_lateral({"type": "stanley", **s}, NARROW, 0.02), "delta_max"),

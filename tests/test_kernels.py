@@ -5,7 +5,6 @@ import pytest
 
 from trackbench import kernels
 from trackbench.models import VehicleParams, slip_angle
-from trackbench.mpc import MpcConfig, stage_cost
 from trackbench.track import Track, circle_track, racetrack, straight_track
 
 
@@ -72,30 +71,6 @@ def test_kin_rollout_matches_single_steps():
                 x, y, th, v, seq[j, 0], seq[j, 1], 0.05, 2.5, 1.25)
             assert out[i, 0] == pytest.approx(x, rel=1e-14)
             assert out[i, 3] == pytest.approx(v, rel=1e-14)
-
-
-def test_mpc_cost_agrees_with_reference_form():
-    params = VehicleParams()
-    cfg = MpcConfig(ts=0.05, p=12, m=4)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        state = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
-                 float(rng.uniform(-3, 3)), float(rng.uniform(0, 15)))
-        seq = np.column_stack([rng.uniform(-3, 3, cfg.m), rng.uniform(-0.6, 0.6, cfg.m)])
-        refs = np.column_stack([
-            rng.uniform(-5, 5, cfg.p), rng.uniform(-5, 5, cfg.p),
-            rng.uniform(-3, 3, cfg.p), rng.uniform(0, 15, cfg.p)])
-        prev = (float(rng.uniform(-1, 1)), float(rng.uniform(-0.3, 0.3)))
-        from trackbench.mpc import predict
-        pred = predict(state, seq, cfg, params)
-        ref_cost = stage_cost(pred, refs, seq, prev, cfg)
-        b, w = cfg.bounds, cfg.weights
-        fused = kernels.mpc_cost(
-            state[0], state[1], state[2], state[3], seq, prev[0], prev[1],
-            refs, cfg.ts, params.wheelbase, params.dist_rear,
-            w.pos, w.head, w.vel, w.d_accel, w.d_steer,
-            b.v_max, b.accel_rate, b.steer_rate, b.soft_penalty)
-        assert fused == pytest.approx(ref_cost, rel=1e-12, abs=1e-12)
 
 
 def _mpc_cost_kin_step_loop(

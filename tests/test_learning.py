@@ -68,10 +68,19 @@ def test_policy_network_shape_validation(rng):
         Policy(mlp=Mlp([OBS_DIM, 8, 1], ["tanh", "linear"], rng))  # unbounded head
 
 
-def test_policy_sigma_default_tracks_steer_max():
-    pol = Policy(steer_max=0.5)
-    assert pol.sigma == pytest.approx(0.05, rel=1e-12)
-    assert Policy(steer_max=0.5, sigma=0.2).sigma == 0.2
+def test_policy_sigma_default_tracks_steer_max(params):
+    # train_ppo's exploration noise defaults to a tenth of the steering limit
+    env = LaneKeepEnv(circle_track(radius=20.0, v_ref=6.0), params, EnvConfig(max_steps=30))
+
+    def trained(sigma):
+        policy = Policy(steer_max=0.5, hidden=(8,), rng=np.random.default_rng(3))
+        best, history = train_ppo(env, policy, iterations=2, episodes_per_iter=2, seed=7,
+                                  sigma=sigma)
+        return best.mlp.get_flat().tobytes(), history
+
+    default = trained(None)
+    assert default == trained(0.05)
+    assert default != trained(0.2)
 
 
 def test_policy_save_load_round_trip(tmp_path, rng):

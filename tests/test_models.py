@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trackbench import kernels
 from trackbench.models import (
     ControlInput,
     DynamicState,
@@ -10,7 +11,6 @@ from trackbench.models import (
     VehicleParams,
     VehicleState,
     dynamic_step,
-    kin_step_state,
     kinematic_derivatives,
     lateral_accel,
     longitudinal_accel,
@@ -239,10 +239,11 @@ def test_dynamic_step_low_speed_uses_kinematic_form():
     dyn = DynamicState(v=0.05)
     u = ControlInput(accel=0.0, steer=0.3)
     out = dynamic_step(dyn, u, 0.01, p)
-    kin = kin_step_state(VehicleState(v=0.05), u, 0.01, p)
-    assert out.x == pytest.approx(kin.x, rel=1e-12)
-    assert out.y == pytest.approx(kin.y, rel=1e-12)
-    assert out.theta == pytest.approx(kin.theta, rel=1e-12)
+    x, y, theta, _ = kernels.kin_step(0.0, 0.0, 0.0, 0.05, u.accel, u.steer, 0.01,
+                                      p.wheelbase, p.dist_rear)
+    assert out.x == pytest.approx(x, rel=1e-12)
+    assert out.y == pytest.approx(y, rel=1e-12)
+    assert out.theta == pytest.approx(theta, rel=1e-12)
 
 
 def test_dynamic_step_turns_left_for_left_steer():

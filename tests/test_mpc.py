@@ -13,8 +13,6 @@ from trackbench.mpc import (
     build_reference,
     design_params,
     optimize,
-    predict,
-    stage_cost,
 )
 from trackbench.sim import ControlContext, Paired, SimConfig, simulate
 from trackbench.track import Track, racetrack, straight_track
@@ -26,16 +24,32 @@ def tile_u(u, m):
     return np.tile(np.asarray(u, dtype=np.float64), (m, 1))
 
 
+def rollout(state, seq, cfg, params):
+    """The kinematic plant rolled p steps at Ts; rows are (x, y, theta, v)."""
+    out = np.empty((cfg.p, 4))
+    kernels.kin_rollout(*state, seq, cfg.ts, params.wheelbase, params.dist_rear, out)
+    return out
+
+
+def horizon_cost(state, seq, prev_u, refs, cfg, params):
+    """kernels.mpc_cost with the weights and bounds of `cfg`."""
+    w, b = cfg.weights, cfg.bounds
+    return kernels.mpc_cost(
+        *state, seq, prev_u[0], prev_u[1], refs, cfg.ts, params.wheelbase, params.dist_rear,
+        w.pos, w.head, w.vel, w.d_accel, w.d_steer,
+        b.v_max, b.accel_rate, b.steer_rate, b.soft_penalty)
+
+
 def test_predict_stationary_stays_put(params):
     cfg = MpcConfig(ts=0.1, p=8, m=3)
-    pred = predict((2.0, -1.0, 0.5, 0.0), np.zeros((3, 2)), cfg, params)
+    pred = rollout((2.0, -1.0, 0.5, 0.0), np.zeros((3, 2)), cfg, params)
     assert pred.shape == (8, 4)
     assert np.allclose(pred, np.tile([2.0, -1.0, 0.5, 0.0], (8, 1)), atol=1e-15)
 
 
 def test_predict_straight_line_advance(params):
     cfg = MpcConfig(ts=0.1, p=5, m=1)
-    pred = predict((0.0, 0.0, 0.0, 10.0), np.zeros((1, 2)), cfg, params)
+    pred = rollout((0.0, 0.0, 0.0, 10.0), np.zeros((1, 2)), cfg, params)
     assert np.allclose(pred[:, 0], [1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
     assert np.allclose(pred[:, 1], 0.0, atol=1e-15)
     assert np.allclose(pred[:, 3], 10.0, atol=1e-15)
@@ -44,7 +58,7 @@ def test_predict_straight_line_advance(params):
 def test_predict_holds_last_control_beyond_m(params):
     cfg = MpcConfig(ts=0.1, p=4, m=2)
     seq = np.array([[1.0, 0.0], [0.5, 0.0]])
-    pred = predict((0.0, 0.0, 0.0, 0.0), seq, cfg, params)
+    pred = rollout((0.0, 0.0, 0.0, 0.0), seq, cfg, params)
     # v accumulates 1.0*Ts then 0.5*Ts held for the remaining steps
     assert np.allclose(pred[:, 3], [0.1, 0.15, 0.2, 0.25], atol=1e-12)
 
@@ -53,43 +67,39 @@ def test_stage_cost_zero_on_reference(params):
     cfg = MpcConfig(ts=0.05, p=6, m=2)
     prev_u = (0.4, 0.02)
     seq = tile_u(prev_u, 2)
-    pred = predict((0.0, 0.0, 0.0, 8.0), seq, cfg, params)
-    assert stage_cost(pred, pred.copy(), seq, prev_u, cfg) == 0.0
+    state = (0.0, 0.0, 0.0, 8.0)
+    pred = rollout(state, seq, cfg, params)
+    assert horizon_cost(state, seq, prev_u, pred, cfg, params) == 0.0
 
 
-def test_stage_cost_hand_value():
+def test_stage_cost_hand_value(params):
     cfg = MpcConfig(
         ts=0.1, p=2, m=1,
         weights=MpcWeights(pos=1.0, head=0.0, vel=0.0, d_accel=0.5, d_steer=0.0),
     )
-    pred = np.zeros((2, 4))
     refs = np.zeros((2, 4))
     refs[0, 1] = -1.0  # 1 m position error at step 1
     refs[1, 0] = -2.0  # 2 m position error at step 2
-    seq = np.array([[1.0, 0.0]])
-    # pos: 1^2 + 2^2 = 5; input move: 0.5 * (1 - 0)^2 = 0.5
-    assert stage_cost(pred, refs, seq, (0.0, 0.0), cfg) == pytest.approx(5.5, rel=1e-12)
+    # at rest with zero accel the rollout stays at the origin
+    seq = np.array([[0.0, 0.0]])
+    # pos: 1^2 + 2^2 = 5; input move from the previous accel 1: 0.5 * (0 - 1)^2 = 0.5
+    cost = horizon_cost((0.0, 0.0, 0.0, 0.0), seq, (1.0, 0.0), refs, cfg, params)
+    assert cost == pytest.approx(5.5, rel=1e-12)
 
 
-def test_stage_cost_scales_with_weights(rng):
+def test_stage_cost_scales_with_weights(rng, params):
     w1 = MpcWeights(pos=1.0, head=3.0, vel=0.3, d_accel=0.05, d_steer=1.0)
     w2 = MpcWeights(pos=2.0, head=6.0, vel=0.6, d_accel=0.10, d_steer=2.0)
     c1 = MpcConfig(ts=0.05, p=5, m=2, weights=w1)
     c2 = MpcConfig(ts=0.05, p=5, m=2, weights=w2)
     for _ in range(50):
-        pred = rng.normal(size=(5, 4))
+        state = tuple(float(z) for z in rng.normal(size=4))
         refs = rng.normal(size=(5, 4))
         seq = rng.normal(size=(2, 2))
         prev = (float(rng.normal()), float(rng.normal()))
-        a = stage_cost(pred, refs, seq, prev, c1)
-        b = stage_cost(pred, refs, seq, prev, c2)
+        a = horizon_cost(state, seq, prev, refs, c1, params)
+        b = horizon_cost(state, seq, prev, refs, c2, params)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
-
-
-def test_stage_cost_rejects_wrong_reference_length(params):
-    cfg = MpcConfig(ts=0.05, p=4, m=1)
-    with pytest.raises(ValueError):
-        stage_cost(np.zeros((4, 4)), np.zeros((3, 4)), np.zeros((1, 2)), (0.0, 0.0), cfg)
 
 
 def test_optimize_no_error_no_action(params):
@@ -104,7 +114,6 @@ def test_optimize_no_error_no_action(params):
 def test_optimize_matches_grid_search_single_step(params):
     cfg = MpcConfig(ts=0.1, p=1, m=1, opt=OptSettings(max_iter=200))
     b = cfg.bounds
-    w = cfg.weights
     track = straight_track(100.0, spacing=1.0, v_ref=8.0)
     rng = np.random.default_rng(19)
     for _ in range(5):
@@ -119,13 +128,7 @@ def test_optimize_matches_grid_search_single_step(params):
         grid_best = math.inf
         for a in np.linspace(b.accel_min, b.accel_max, 21):
             for d in np.linspace(-b.steer_max, b.steer_max, 21):
-                c = kernels.mpc_cost(
-                    state[0], state[1], state[2], state[3],
-                    np.array([[a, d]]), 0.0, 0.0, refs,
-                    cfg.ts, params.wheelbase, params.dist_rear,
-                    w.pos, w.head, w.vel, w.d_accel, w.d_steer,
-                    b.v_max, b.accel_rate, b.steer_rate, b.soft_penalty,
-                )
+                c = horizon_cost(state, np.array([[a, d]]), (0.0, 0.0), refs, cfg, params)
                 grid_best = min(grid_best, c)
         assert res.cost <= grid_best + 1e-6
 
@@ -178,7 +181,11 @@ def test_optimize_never_worse_than_start(params):
         seq0 = tile_u(prev, cfg.m)
         np.clip(seq0[:, 0], cfg.bounds.accel_min, cfg.bounds.accel_max, out=seq0[:, 0])
         np.clip(seq0[:, 1], -cfg.bounds.steer_max, cfg.bounds.steer_max, out=seq0[:, 1])
-        start = stage_cost(predict(state, seq0, cfg, params), refs, seq0, prev, cfg)
+        w, b = cfg.weights, cfg.bounds
+        start = _mpc_cost_kin_step_loop(
+            *state, seq0, *prev, refs, cfg.ts, params.wheelbase, params.dist_rear,
+            w.pos, w.head, w.vel, w.d_accel, w.d_steer,
+            b.v_max, b.accel_rate, b.steer_rate, b.soft_penalty)
         res = optimize(state, refs, prev, cfg, params)
         assert res.cost <= start + 1e-9
 
