@@ -10,7 +10,6 @@ closed-loop simulation harness with benchmarking CLI.
 from .kernels import wrap_angle
 from .models import (
     ControlInput,
-    DynamicState,
     StateDerivative,
     VehicleParams,
     VehicleState,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "wrap_angle",
     "ControlInput",
-    "DynamicState",
     "StateDerivative",
     "VehicleParams",
     "VehicleState",

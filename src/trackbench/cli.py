@@ -12,10 +12,18 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, _pick, _take, build_section, build_track, build_vehicle, load_json
+from .config import (
+    ConfigError,
+    _check_numbers,
+    _pick,
+    _take,
+    build_section,
+    build_track,
+    build_vehicle,
+    load_json,
+)
 from .mpc import design_params
 from .sim import SimConfig
-from .track import Track
 
 
 def _metrics_lines(record) -> list[str]:
@@ -32,23 +40,17 @@ def _metrics_lines(record) -> list[str]:
     ]
 
 
-def _load_run_track(cfg: dict, track_path) -> Track:
-    if track_path is not None:
-        try:
-            return Track.from_csv(track_path)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"bad track file {track_path}: {exc}") from exc
-    if "track" in cfg:
-        return build_track(cfg["track"])
-    raise ConfigError("no track: pass --track <csv> or a 'track' section in the config")
-
-
 def cmd_simulate(args) -> int:
     from .config import build_run
     from .sim import simulate
 
     cfg = load_json(args.config)
-    track = _load_run_track(cfg, args.track)
+    if args.track is not None:
+        track = build_track({"kind": "csv", "path": args.track})
+    elif "track" in cfg:
+        track = build_track(cfg["track"])
+    else:
+        raise ConfigError("no track: pass --track <csv> or a 'track' section in the config")
     sim_cfg, params, controller = build_run(cfg)
     record = simulate(sim_cfg, track, params, controller)
     os.makedirs(args.out, exist_ok=True)
@@ -102,13 +104,29 @@ def _rng(cfg: dict) -> np.random.Generator:
     return np.random.default_rng(cfg.get("seed", 0))
 
 
-def _env_setup(args, keys: tuple, where: str):
+def _check_trainer(cfg: dict, callees, where: str) -> None:
+    """Check each (callee, keys) value that `cfg` gives against the callee's
+    annotation, `hidden` as the layer sizes of a new policy, and that an
+    evolved `population` has at least 2 members."""
+    for callee, keys in callees:
+        _check_numbers(callee, _pick(cfg, keys), where)
+    if cfg.get("population", 2) < 2:
+        raise ConfigError(f"bad {where}: 'population' must be >= 2, got {cfg['population']}")
+    hidden = cfg.get("hidden", [])
+    if not (isinstance(hidden, list) and all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in hidden)):
+        raise ConfigError(f"bad {where}: 'hidden' must be a list of positive integers, "
+                          f"not {hidden!r}")
+
+
+def _env_setup(args, trainer, keys: tuple, where: str):
     """Config, lane-keeping env, starting policy and output paths of
-    train-ppo and evolve."""
+    train-ppo and evolve; `trainer` takes the `keys`."""
     from .learning import EnvConfig, LaneKeepEnv, Policy
 
     cfg = load_json(args.config)
     _take(cfg, ("track", "vehicle", "env", "init_policy", "hidden", *keys), where)
+    _check_trainer(cfg, [(trainer, keys)], where)
     if cfg.get("init_policy") is not None and "hidden" in cfg:
         raise ConfigError(f"{where} gives both 'init_policy' and 'hidden'; "
                           "the loaded network sets its own layer sizes")
@@ -131,6 +149,8 @@ def cmd_train_bc(args) -> int:
     cfg = load_json(args.config)
     _take(cfg, ("track", "vehicle", *_EXPERT_KEYS, *_BALANCE_KEYS, *_CLONE_KEYS),
           "train-bc config")
+    _check_trainer(cfg, [(balance_dataset, _BALANCE_KEYS), (clone_behavior, _CLONE_KEYS)],
+                   "train-bc config")
     # collect_expert_dataset passes these to SimConfig; check them before any run
     build_section(SimConfig, _pick(cfg, _EXPERT_KEYS), "train-bc config")
     track, params = _track_and_vehicle(cfg)
@@ -151,7 +171,8 @@ def cmd_train_bc(args) -> int:
 def cmd_train_ppo(args) -> int:
     from .learning import evaluate_policy, train_ppo
 
-    cfg, env, policy, policy_path, log_path = _env_setup(args, _PPO_KEYS, "train-ppo config")
+    cfg, env, policy, policy_path, log_path = _env_setup(args, train_ppo, _PPO_KEYS,
+                                                         "train-ppo config")
     r0, e0 = evaluate_policy(env, policy)
     policy, history = train_ppo(env, policy, log_path=log_path, **_pick(cfg, _PPO_KEYS))
     r1, e1 = evaluate_policy(env, policy)
@@ -165,7 +186,8 @@ def cmd_train_ppo(args) -> int:
 def cmd_evolve(args) -> int:
     from .learning import evaluate_policy, evolve_policy
 
-    cfg, env, policy, policy_path, log_path = _env_setup(args, _EVOLVE_KEYS, "evolve config")
+    cfg, env, policy, policy_path, log_path = _env_setup(args, evolve_policy, _EVOLVE_KEYS,
+                                                         "evolve config")
     policy, best_f, history = evolve_policy(env, policy, log_path=log_path,
                                             **_pick(cfg, _EVOLVE_KEYS))
     reward, err = evaluate_policy(env, policy)

@@ -231,6 +231,8 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
         from .learning import Policy
 
         law = _take(law, ("path", "delta_max"), "policy")
+        if "delta_max" in law:
+            _number(law["delta_max"], (int, float), "delta_max", "policy")
         try:
             return Policy.load(law["path"], steer_max=law.get("delta_max", params.steer_max))
         except (KeyError, ValueError, TypeError, OSError) as exc:
@@ -238,7 +240,7 @@ def build_lateral(spec: dict, params: VehicleParams, dt: float):
     raise ConfigError(f"unknown lateral type {kind!r}")
 
 
-def build_longitudinal(spec: dict | None, params: VehicleParams, lateral):
+def build_longitudinal(spec: dict | None, lateral):
     """The speed law of a longitudinal spec (default a speed PID); 'mpc'
     is the MPC steering law's own acceleration channel."""
     if spec is None:
@@ -297,7 +299,7 @@ def build_run(cfg: dict):
     lat_spec = cfg["lateral"]
     lon_spec = cfg.get("longitudinal")
     lateral = build_lateral(lat_spec, params, sim_cfg.dt)
-    longitudinal = build_longitudinal(lon_spec, params, lateral)
+    longitudinal = build_longitudinal(lon_spec, lateral)
     controller = Paired(lateral, longitudinal, build_shaper(lat_spec.get("shaper")),
                         build_shaper((lon_spec or {}).get("shaper")))
     return sim_cfg, params, controller

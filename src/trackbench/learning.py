@@ -42,7 +42,7 @@ def observation(track: Track, errors: TrackingErrors, v: float) -> np.ndarray:
 def build_observation(track: Track, x: float, y: float, theta: float, v: float,
                       params: VehicleParams, hint: int | None = None):
     """Observation vector and the tracking errors it was computed from."""
-    errors = track.tracking_errors(VehicleState(x, y, theta, v), "cog", params, hint)
+    errors = track.tracking_errors((x, y, theta, v), "cog", params, hint)
     return observation(track, errors, v), errors
 
 
@@ -393,8 +393,12 @@ def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
 # ------------------------------------------------------ evolutionary search
 
 
+# share of each generation that survives unchanged as the next one's parents
+_ELITE_FRAC = 0.25
+
+
 def evolve_params(eval_fn, x0, *, population: int = 16, generations: int = 40,
-                  sigma: float = 0.3, seed: int = 0, elite_frac: float = 0.25):
+                  sigma: float = 0.3, seed: int = 0):
     """Elitist Gaussian-mutation search maximizing eval_fn.
 
     Elites survive unchanged, so the best-so-far fitness is non-decreasing;
@@ -404,10 +408,8 @@ def evolve_params(eval_fn, x0, *, population: int = 16, generations: int = 40,
     x0 = np.asarray(x0, dtype=float)
     if population < 2:
         raise ValueError("population must be >= 2")
-    if not 0.0 < elite_frac <= 1.0:
-        raise ValueError("elite_frac must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    n_elite = max(1, math.ceil(elite_frac * population))
+    n_elite = max(1, math.ceil(_ELITE_FRAC * population))
 
     pop = [x0.copy()]
     for _ in range(population - 1):

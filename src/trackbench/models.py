@@ -2,9 +2,11 @@
 
 The kinematic model is the front-wheel-steered bicycle with the state
 q = [x, y, theta, v] measured at the center of gravity; the dynamic model
-adds body lateral velocity, yaw rate, and slip angle.  Both integrate with
-fixed-step explicit transitions (first order for the kinematic model,
-second order for the dynamic one).  Angles are radians everywhere.
+adds body lateral velocity and yaw rate.  Both integrate with fixed-step
+explicit transitions (first order for the kinematic model, second order for
+the dynamic one); the dynamic plant steps the plain tuple
+(x, y, theta, v, lat_vel, yaw_rate), as kernels.kin_step steps
+(x, y, theta, v).  Angles are radians everywhere.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ class StateDerivative:
     dy: float = 0.0
     dtheta: float = 0.0
     dv: float = 0.0
-
-
-@dataclass
-class DynamicState(VehicleState):
-    lat_vel: float = 0.0
-    yaw_rate: float = 0.0
-    slip: float = 0.0
 
 
 def clamp(value: float, low: float, high: float) -> float:
@@ -208,59 +203,46 @@ def lateral_accel(
     return ddy, ddtheta
 
 
-def dynamic_step(
-    state: DynamicState,
-    u: ControlInput,
-    dt: float,
-    params: VehicleParams,
-) -> DynamicState:
+def dynamic_step(x, y, theta, v, lat_vel, yaw_rate, accel, steer, dt, params: VehicleParams):
     """Second-order transition of the consolidated dynamic model.
 
-    The printed model mixes body-frame accelerations with global positions;
-    here v and lat_vel integrate the body-frame accelerations while x, y
-    integrate the body velocity rotated into the global frame (with the
-    matching rotated acceleration in the quadratic term).  Below
-    V_MIN_LATERAL the kinematic model substitutes for the singular lateral
-    equations.
+    Steps the state (x, y, theta, v, lat_vel, yaw_rate) under the command
+    (accel, steer) and returns the next one.  The printed model mixes
+    body-frame accelerations with global positions; here v and lat_vel
+    integrate the body-frame accelerations while x, y integrate the body
+    velocity rotated into the global frame (with the matching rotated
+    acceleration in the quadratic term).  Below V_MIN_LATERAL the kinematic
+    model substitutes for the singular lateral equations.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if state.v <= V_MIN_LATERAL:
+    if v <= V_MIN_LATERAL:
         x, y, theta, v = kernels.kin_step(
-            state.x, state.y, state.theta, state.v, u.accel, u.steer, dt,
-            params.wheelbase, params.dist_rear,
+            x, y, theta, v, accel, steer, dt, params.wheelbase, params.dist_rear
         )
-        beta = slip_angle(u.steer, params)
-        return DynamicState(
-            x, y, theta, v,
-            lat_vel=v * math.sin(beta),
-            yaw_rate=v * math.tan(u.steer) * math.cos(beta) / params.wheelbase,
-            slip=beta,
-        )
+        beta = slip_angle(steer, params)
+        return (x, y, theta, v, v * math.sin(beta),
+                v * math.tan(steer) * math.cos(beta) / params.wheelbase)
 
-    beta = math.atan2(state.lat_vel, state.v)
+    beta = math.atan2(lat_vel, v)
     beta = clamp(beta, -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
     # accel command maps onto the traction term r·(wheel spin accel)
-    ddx_body = longitudinal_accel(u.accel / params.wheel_radius, state.v, params)
-    ddy_body, ddtheta = lateral_accel(beta, state.yaw_rate, state.v, u.steer, params)
+    ddx_body = longitudinal_accel(accel / params.wheel_radius, v, params)
+    ddy_body, ddtheta = lateral_accel(beta, yaw_rate, v, steer, params)
 
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    vx_g = state.v * cos_t - state.lat_vel * sin_t
-    vy_g = state.v * sin_t + state.lat_vel * cos_t
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    vx_g = v * cos_t - lat_vel * sin_t
+    vy_g = v * sin_t + lat_vel * cos_t
     ax_g = ddx_body * cos_t - ddy_body * sin_t
     ay_g = ddx_body * sin_t + ddy_body * cos_t
 
     h = 0.5 * dt * dt
-    new_v = state.v + ddx_body * dt
-    new_lat = state.lat_vel + ddy_body * dt
-    return DynamicState(
-        x=state.x + vx_g * dt + ax_g * h,
-        y=state.y + vy_g * dt + ay_g * h,
-        theta=state.theta + state.yaw_rate * dt + ddtheta * h,
-        v=new_v,
-        lat_vel=new_lat,
-        yaw_rate=state.yaw_rate + ddtheta * dt,
-        slip=clamp(math.atan2(new_lat, max(new_v, V_MIN_LATERAL)),
-                   -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
+    return (
+        x + vx_g * dt + ax_g * h,
+        y + vy_g * dt + ay_g * h,
+        kernels.wrap_angle(theta + yaw_rate * dt + ddtheta * h),
+        v + ddx_body * dt,
+        lat_vel + ddy_body * dt,
+        yaw_rate + ddtheta * dt,
     )

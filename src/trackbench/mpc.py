@@ -191,9 +191,9 @@ def build_reference(
     Each row locates its arc length once; its unclamped reference speed sets
     the spacing to the next row.
     """
-    near = track.nearest(state[0], state[1], hint)
+    index, t, _ = track.nearest(state[0], state[1], hint)
     refs = np.empty((cfg.p, 4))
-    s = near.s
+    s = track.arc_length_at(index, t)
     v_here = track.v_ref_at_s(s)
     end = False
     for i in range(cfg.p):
@@ -211,7 +211,7 @@ def build_reference(
         refs[i, 2] = track.seg_tangent[seg]
         # past the final waypoint the reference asks for a stop
         refs[i, 3] = 0.0 if clamped else v_here
-    return refs, near.index, end
+    return refs, index, end
 
 
 class MpcLateral:

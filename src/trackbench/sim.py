@@ -27,14 +27,7 @@ from .geometric import (
     pure_pursuit_steer,
     stanley_steer,
 )
-from .models import (
-    ControlInput,
-    DynamicState,
-    VehicleParams,
-    VehicleState,
-    clamp,
-    dynamic_step,
-)
+from .models import VehicleParams, VehicleState, clamp, dynamic_step
 from .track import Track, TrackingErrors
 
 TERMINATIONS = ("completed", "max_steps", "diverged", "off_track", "end_of_track")
@@ -194,10 +187,7 @@ class ControlContext:
         latest COG foot point."""
         errors = self._errors.get(frame)
         if errors is None:
-            x, y, theta, v = self.state
-            errors = self.track.tracking_errors(
-                VehicleState(x, y, theta, v), frame, self.params, self._hint
-            )
+            errors = self.track.tracking_errors(self.state, frame, self.params, self._hint)
             if frame == "cog":
                 self._hint = errors.nearest_index
             self._errors[frame] = errors
@@ -406,12 +396,10 @@ def simulate(
     ctx = ControlContext(track, params, dt)
     progress = _Progress(track)
 
-    dyn: DynamicState | None = None
-    if cfg.model == "dynamic":
-        dyn = DynamicState(init.x, init.y, init.theta, init.v)
-        state = (dyn.x, dyn.y, dyn.theta, dyn.v)
-    else:
-        state = (init.x, init.y, init.theta, init.v)
+    state = (init.x, init.y, init.theta, init.v)
+    dynamic = cfg.model == "dynamic"
+    # the dynamic plant also steps its body lateral velocity and yaw rate
+    lat_vel = yaw_rate = 0.0
 
     rows = np.empty((cfg.max_steps, 10))
     n = 0
@@ -460,9 +448,11 @@ def simulate(
         n += 1
 
         # plant step
-        if dyn is not None:
-            dyn = dynamic_step(dyn, ControlInput(accel, steer), dt, params)
-            state = (dyn.x, dyn.y, dyn.theta, dyn.v)
+        if dynamic:
+            x, y, theta, v, lat_vel, yaw_rate = dynamic_step(
+                x, y, theta, v, lat_vel, yaw_rate, accel, steer, dt, params
+            )
+            state = (x, y, theta, v)
         else:
             state = kernels.kin_step(
                 x, y, theta, v, accel, steer, dt, params.wheelbase, params.dist_rear

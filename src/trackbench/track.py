@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import wrap_angle
-from .models import VehicleParams, VehicleState
+from .models import VehicleParams
 
 # Segments scanned around the hint before falling back to a global query.
 _HINT_BACK = 8
@@ -29,17 +29,6 @@ _HINT_FORWARD = 80
 # harness off-track threshold so terminations are never decided on a stale
 # window).
 _HINT_TRUST_DIST = 6.0
-
-
-@dataclass
-class NearestPoint:
-    x: float
-    y: float
-    v_ref: float
-    index: int
-    t: float
-    distance: float
-    s: float
 
 
 @dataclass
@@ -213,8 +202,9 @@ class Track:
 
     # ------------------------------------------------------------- queries
 
-    def nearest(self, px: float, py: float, hint: int | None = None) -> NearestPoint:
-        """Closest interpolated point; exact ties keep the lowest index.
+    def nearest(self, px: float, py: float, hint: int | None = None) -> tuple[int, float, float]:
+        """(segment, t, distance) of the closest interpolated point; exact
+        ties keep the lowest index.
 
         A hint narrows the scan to a window around the previous match and
         falls back to the full track when the windowed result is suspect.
@@ -226,21 +216,9 @@ class Track:
                 stop = min(stop, self.nseg)
             seg, t, dist = kernels.nearest_on_polyline(*self._table, px, py, start, stop)
             if dist <= _HINT_TRUST_DIST:
-                return self._nearest_result(seg % self.nseg, t, dist)
+                return int(seg % self.nseg), float(t), float(dist)
         seg, t, dist = kernels.nearest_on_polyline_numpy(*self._segments, px, py)
-        return self._nearest_result(seg, t, dist)
-
-    def _nearest_result(self, seg: int, t: float, dist: float) -> NearestPoint:
-        x, y = self.point_on_segment(seg, t)
-        return NearestPoint(
-            x=x,
-            y=y,
-            v_ref=self.v_ref_on_segment(seg, t),
-            index=int(seg),
-            t=float(t),
-            distance=float(dist),
-            s=self.arc_length_at(seg, t),
-        )
+        return int(seg), float(t), float(dist)
 
     def lookahead(
         self,
@@ -261,8 +239,7 @@ class Track:
         if not d_l > 0.0:
             raise ValueError(f"lookahead distance must be > 0, got {d_l}")
         if foot is None:
-            near = self.nearest(px, py)
-            start, t_lo = near.index, near.t
+            start, t_lo, _ = self.nearest(px, py)
         else:
             start, t_lo = foot.nearest_index, foot.t
 
@@ -321,12 +298,13 @@ class Track:
 
     def tracking_errors(
         self,
-        state: VehicleState,
+        state: tuple[float, float, float, float],
         frame: str,
         params: VehicleParams,
         hint: int | None = None,
     ) -> TrackingErrors:
-        """Signed error triple measured at the chosen reference frame.
+        """Signed error triple of the state (x, y, theta, v), measured at the
+        chosen reference frame.
 
         frame: 'cog', 'front_axle' (forward by lf), or 'rear_axle' (back by
         lr).  Cross-track magnitude is the distance to the foot point; the
@@ -340,20 +318,20 @@ class Track:
             off = -params.dist_rear
         else:
             raise ValueError(f"unknown frame {frame!r}")
-        px = state.x + off * math.cos(state.theta)
-        py = state.y + off * math.sin(state.theta)
-        near = self.nearest(px, py, hint)
-        side = -math.sin(state.theta) * (near.x - px) + math.cos(state.theta) * (near.y - py)
-        cross = near.distance if side >= 0.0 else -near.distance
-        heading_err = wrap_angle(self._tangent[near.index] - state.theta)
+        x, y, theta, v = state
+        px = x + off * math.cos(theta)
+        py = y + off * math.sin(theta)
+        seg, t, dist = self.nearest(px, py, hint)
+        fx, fy = self.point_on_segment(seg, t)
+        side = -math.sin(theta) * (fx - px) + math.cos(theta) * (fy - py)
         return TrackingErrors(
-            cross_track=cross,
-            heading=heading_err,
-            speed=near.v_ref - state.v,
-            nearest_index=near.index,
-            distance=near.distance,
-            s=near.s,
-            t=near.t,
+            cross_track=dist if side >= 0.0 else -dist,
+            heading=wrap_angle(self._tangent[seg] - theta),
+            speed=self.v_ref_on_segment(seg, t) - v,
+            nearest_index=seg,
+            distance=dist,
+            s=self.arc_length_at(seg, t),
+            t=t,
         )
 
 

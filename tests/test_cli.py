@@ -296,3 +296,33 @@ def test_hidden_beside_init_policy_is_config_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
     assert "hidden" in capsys.readouterr().err
     assert not (tmp_path / "p.bin").exists()
+
+
+# short runs of each trainer, so that a bad value that is not caught fails fast
+_TRAINER_BASE = {
+    "train-bc": {"epochs": 1},
+    "train-ppo": {"iterations": 1, "episodes_per_iter": 1, "env": {"max_steps": 20}},
+    "evolve": {"population": 2, "generations": 1, "eval_episodes": 1, "env": {"max_steps": 20}},
+}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("train-bc", "epochs", "x"),
+    ("train-bc", "zero_cap", True),
+    ("train-bc", "hidden", [4, "x"]),
+    ("train-ppo", "iterations", "x"),
+    ("train-ppo", "sigma", True),
+    ("train-ppo", "hidden", [4, 0]),
+    ("evolve", "population", 2.5),
+    ("evolve", "population", 1),
+    ("evolve", "hidden", 8),
+], ids=str)
+def test_trainer_bad_value_is_config_error(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path, {
+        "track": {"kind": "straight", "length": 50.0},
+        **_TRAINER_BASE[command],
+        key: value,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "p.bin")]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "p.bin").exists()

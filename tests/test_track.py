@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trackbench import kernels
-from trackbench.models import VehicleParams, VehicleState
+from trackbench.models import VehicleParams
 from trackbench.track import (
     Track,
     circle_track,
@@ -33,26 +33,28 @@ def test_track_rejects_negative_v_ref():
 
 def test_nearest_on_waypoint_is_exact():
     t = straight_track(10.0, spacing=1.0, v_ref=5.0)
-    near = t.nearest(3.0, 0.0)
-    assert near.distance == 0.0
-    assert near.x == pytest.approx(3.0)
-    assert near.y == pytest.approx(0.0)
+    seg, frac, distance = t.nearest(3.0, 0.0)
+    x, y = t.point_on_segment(seg, frac)
+    assert distance == 0.0
+    assert x == pytest.approx(3.0)
+    assert y == pytest.approx(0.0)
 
 
 def test_nearest_point_projection_hand_case():
     t = Track(np.array([0.0, 10.0]), np.array([0.0, 0.0]), np.array([5.0, 5.0]))
-    near = t.nearest(3.0, 2.0)
-    assert near.x == pytest.approx(3.0, rel=1e-12)
-    assert near.y == pytest.approx(0.0, abs=1e-12)
-    assert near.distance == pytest.approx(2.0, rel=1e-12)
+    seg, frac, distance = t.nearest(3.0, 2.0)
+    x, y = t.point_on_segment(seg, frac)
+    assert x == pytest.approx(3.0, rel=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-12)
+    assert distance == pytest.approx(2.0, rel=1e-12)
 
 
 def test_nearest_tie_breaks_to_lower_index():
     # V-shaped track, query equidistant from both arms
     t = Track(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]),
               np.array([1.0, 1.0, 1.0]))
-    near = t.nearest(0.0, 1.0)
-    assert near.index == 0
+    seg, _, _ = t.nearest(0.0, 1.0)
+    assert seg == 0
 
 
 def test_nearest_beats_every_raw_waypoint():
@@ -61,9 +63,9 @@ def test_nearest_beats_every_raw_waypoint():
     for _ in range(300):
         px = float(rng.uniform(-30, 80))
         py = float(rng.uniform(-30, 60))
-        near = t.nearest(px, py)
+        _, _, distance = t.nearest(px, py)
         raw = np.hypot(t.xs - px, t.ys - py)
-        assert near.distance <= raw.min() + 1e-12
+        assert distance <= raw.min() + 1e-12
 
 
 def test_nearest_hint_agrees_with_global(bench_track):
@@ -74,15 +76,15 @@ def test_nearest_hint_agrees_with_global(bench_track):
         px += float(rng.uniform(0.0, 2.0))
         py = float(rng.uniform(-2.0, 2.0))
         g = bench_track.nearest(px % 100.0, py)
-        h = bench_track.nearest(px % 100.0, py, hint=g.index)
-        assert h.index == g.index
-        assert h.distance == pytest.approx(g.distance, rel=1e-12)
+        h = bench_track.nearest(px % 100.0, py, hint=g[0])
+        assert h[0] == g[0]
+        assert h[2] == pytest.approx(g[2], rel=1e-12)
 
 
 def test_v_ref_interpolates_linearly():
     t = Track(np.array([0.0, 10.0]), np.array([0.0, 0.0]), np.array([4.0, 8.0]))
-    near = t.nearest(2.5, 1.0)
-    assert near.v_ref == pytest.approx(5.0, rel=1e-12)
+    seg, frac, _ = t.nearest(2.5, 1.0)
+    assert t.v_ref_on_segment(seg, frac) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_lookahead_straight_ahead():
@@ -139,14 +141,14 @@ def test_lookahead_closed_track_never_ends():
 
 def test_tracking_errors_on_path():
     t = straight_track(50.0, spacing=1.0, v_ref=5.0)
-    e = t.tracking_errors(VehicleState(10.0, 0.0, 0.0, 5.0), "cog", VehicleParams())
+    e = t.tracking_errors((10.0, 0.0, 0.0, 5.0), "cog", VehicleParams())
     assert (e.cross_track, e.heading, e.speed) == (0.0, 0.0, 0.0)
 
 
 def test_cross_track_positive_when_path_is_left():
     # vehicle 2 m right of an east-bound track, heading east
     t = straight_track(50.0, spacing=1.0, v_ref=5.0)
-    e = t.tracking_errors(VehicleState(10.0, -2.0, 0.0, 5.0), "cog", VehicleParams())
+    e = t.tracking_errors((10.0, -2.0, 0.0, 5.0), "cog", VehicleParams())
     assert e.cross_track == pytest.approx(2.0, rel=1e-12)
     assert e.heading == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +159,7 @@ def test_heading_error_hand_value():
               np.array([0.0, 10.0 * math.sin(math.radians(30.0))]),
               np.array([5.0, 5.0]))
     e = t.tracking_errors(
-        VehicleState(0.0, 0.0, math.radians(10.0), 5.0), "cog", VehicleParams())
+        (0.0, 0.0, math.radians(10.0), 5.0), "cog", VehicleParams())
     assert e.heading == pytest.approx(math.radians(20.0), rel=1e-9)
     assert e.heading == pytest.approx(0.349066, abs=5e-7)
 
@@ -169,8 +171,8 @@ def test_reflection_flips_cross_track_sign():
     for _ in range(300):
         x = float(rng.uniform(2.0, 58.0))
         y = float(rng.uniform(0.01, 4.0))
-        a = t.tracking_errors(VehicleState(x, y, 0.0, 5.0), "cog", p)
-        b = t.tracking_errors(VehicleState(x, -y, 0.0, 5.0), "cog", p)
+        a = t.tracking_errors((x, y, 0.0, 5.0), "cog", p)
+        b = t.tracking_errors((x, -y, 0.0, 5.0), "cog", p)
         assert a.cross_track == pytest.approx(-b.cross_track, rel=1e-12)
         assert abs(a.cross_track) == pytest.approx(y, rel=1e-12)
 
@@ -179,7 +181,7 @@ def test_tracking_error_frames_shift_reference_point():
     # mid-straight on the racetrack: front axle projects ahead of the rear
     t = racetrack(100.0, 20.0, v_ref=8.0)
     p = VehicleParams()
-    s = VehicleState(50.0, 0.0, 0.0, 8.0)
+    s = (50.0, 0.0, 0.0, 8.0)
     cog = t.tracking_errors(s, "cog", p)
     front = t.tracking_errors(s, "front_axle", p)
     rear = t.tracking_errors(s, "rear_axle", p)
@@ -189,7 +191,7 @@ def test_tracking_error_frames_shift_reference_point():
 
 def test_speed_error_is_v_ref_minus_v():
     t = straight_track(50.0, spacing=1.0, v_ref=9.0)
-    e = t.tracking_errors(VehicleState(5.0, 0.0, 0.0, 6.5), "cog", VehicleParams())
+    e = t.tracking_errors((5.0, 0.0, 0.0, 6.5), "cog", VehicleParams())
     assert e.speed == pytest.approx(2.5, rel=1e-12)
 
 
@@ -246,7 +248,7 @@ def test_lookahead_from_measured_foot_point_matches_fresh_query(bench_track, par
         px += float(rng.normal(0.0, 0.5))
         py += float(rng.normal(0.0, 0.5))
         heading = float(rng.uniform(-math.pi, math.pi))
-        foot = bench_track.tracking_errors(VehicleState(px, py, heading, 8.0), "cog", params)
+        foot = bench_track.tracking_errors((px, py, heading, 8.0), "cog", params)
         assert (bench_track.lookahead(px, py, heading, 6.0, foot)
                 == bench_track.lookahead(px, py, heading, 6.0))
 
@@ -293,9 +295,9 @@ def test_arc_length_lookup_round_trip(bench_track):
         seg, frac = t.locate_s(s)
         assert t.arc_length_at(seg, frac) == pytest.approx(s, abs=1e-9)
         x, y = t.point_at_s(s)
-        near = t.nearest(x, y)
-        assert near.distance == pytest.approx(0.0, abs=1e-9)
-        assert near.s == pytest.approx(s, abs=1e-6)
+        seg, frac, distance = t.nearest(x, y)
+        assert distance == pytest.approx(0.0, abs=1e-9)
+        assert t.arc_length_at(seg, frac) == pytest.approx(s, abs=1e-6)
 
 
 def test_track_copies_and_freezes_its_arrays():
@@ -442,12 +444,10 @@ def test_queries_are_the_per_call_geometry_queries(track, params):
         py += float(rng.normal(0.0, 2.0))
         heading = float(rng.uniform(-math.pi, math.pi))
         hint = int(rng.integers(track.nseg))
-        near = track.nearest(px, py, hint)
-        assert _hex([near.index, near.t, near.distance]) == _hex(nearest(px, py, hint))
-        state = VehicleState(px, py, heading, 8.0)
-        foot = track.tracking_errors(state, "rear_axle", params, hint)
+        assert _hex(track.nearest(px, py, hint)) == _hex(nearest(px, py, hint))
+        foot = track.tracking_errors((px, py, heading, 8.0), "rear_axle", params, hint)
         assert foot.heading == kernels.wrap_angle(float(track.seg_tangent[foot.nearest_index])
-                                                  - state.theta)
+                                                  - heading)
         d_l = float(rng.uniform(0.5, 30.0))
         # from the measured rear-axle foot point, and from a global query
         rx = px - params.dist_rear * math.cos(heading)
