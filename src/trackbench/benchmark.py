@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields
 from importlib import resources
 
 from .config import ConfigError, _pick, _take, build_run, build_track, load_json
-from .sim import simulate
+from .sim import Metrics, simulate
 from .track import Track
 
-SUMMARY_HEADER = (
-    "controller,track,speed,rms_cross_track,max_cross_track,rms_heading,"
-    "rms_speed_err,mean_abs_steer_rate,lap_time,completion,termination"
-)
-
-_METRIC_FIELDS = (
-    "rms_cross_track", "max_cross_track", "rms_heading", "rms_speed_err",
-    "mean_abs_steer_rate", "lap_time", "completion",
-)
+_METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
+SUMMARY_HEADER = ",".join(("controller", "track", "speed", *_METRIC_FIELDS, "termination"))
 
 
 def reference_suite() -> dict:

@@ -82,6 +82,7 @@ class PidController:
     def __init__(
         self,
         gains: PidGains | GainSchedule,
+        *,
         integral_clamp: float = 10.0,
         buffer_len: int = 1000,
         d_filter: float = 0.0,

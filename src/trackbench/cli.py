@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 simulate run diverged.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 
@@ -15,6 +16,7 @@ import numpy as np
 from .config import (
     ConfigError,
     _check_numbers,
+    _keys,
     _pick,
     _take,
     build_section,
@@ -90,28 +92,34 @@ def _policy_out_paths(out: str) -> tuple[str, str]:
     return out, base + "_log.csv"
 
 
-# The keys each trainer passes on to a callee, whose signature holds their
-# defaults.  'seed' also seeds the trainer's other random draws.
-_EXPERT_KEYS = ("dt", "max_steps")  # collect_expert_dataset
-_BALANCE_KEYS = ("zero_thresh", "zero_cap")  # balance_dataset
-_CLONE_KEYS = ("hidden", "epochs", "batch", "alpha", "seed")  # clone_behavior
-_PPO_KEYS = ("iterations", "episodes_per_iter", "epochs", "eps_clip", "alpha", "sigma",
-             "seed")  # train_ppo
-_EVOLVE_KEYS = ("population", "generations", "sigma", "eval_episodes", "seed")  # evolve_policy
+# per trainer, the range each key must keep to, where a value outside it
+# would fail the run
+_RANGES = {
+    "balance_dataset": {"zero_cap": (">=", 0)},
+    "clone_behavior": {"epochs": (">=", 1), "batch": (">=", 1), "seed": (">=", 0)},
+    "train_ppo": {"episodes_per_iter": (">=", 1), "sigma": (">", 0), "seed": (">=", 0)},
+    "evolve_policy": {"population": (">=", 2), "eval_episodes": (">=", 1), "seed": (">=", 0)},
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 def _rng(cfg: dict) -> np.random.Generator:
     return np.random.default_rng(cfg.get("seed", 0))
 
 
-def _check_trainer(cfg: dict, callees, where: str) -> None:
-    """Check each (callee, keys) value that `cfg` gives against the callee's
-    annotation, `hidden` as the layer sizes of a new policy, and that an
-    evolved `population` has at least 2 members."""
-    for callee, keys in callees:
-        _check_numbers(callee, _pick(cfg, keys), where)
-    if cfg.get("population", 2) < 2:
-        raise ConfigError(f"bad {where}: 'population' must be >= 2, got {cfg['population']}")
+def _check_trainer(cfg: dict, trainers, where: str, *sections) -> None:
+    """Check, before any run, that `cfg` gives only `sections` and keys of
+    `trainers` (their keyword-only parameters), each value against its
+    trainer's annotation and _RANGES, and `hidden` as the layer sizes of a
+    new policy."""
+    _take(cfg, (*sections, *(key for fn in trainers for key in _keys(fn))), where)
+    for trainer in trainers:
+        given = _pick(cfg, _keys(trainer))
+        _check_numbers(trainer, given, where)
+        for key, (compare, bound) in _RANGES.get(trainer.__name__, {}).items():
+            if given.get(key) is not None and not _COMPARE[compare](given[key], bound):
+                raise ConfigError(f"bad {where}: {key!r} must be {compare} {bound}, "
+                                  f"got {given[key]}")
     hidden = cfg.get("hidden", [])
     if not (isinstance(hidden, list) and all(
             isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in hidden)):
@@ -119,14 +127,13 @@ def _check_trainer(cfg: dict, callees, where: str) -> None:
                           f"not {hidden!r}")
 
 
-def _env_setup(args, trainer, keys: tuple, where: str):
+def _env_setup(args, trainer, where: str):
     """Config, lane-keeping env, starting policy and output paths of
-    train-ppo and evolve; `trainer` takes the `keys`."""
+    train-ppo and evolve."""
     from .learning import EnvConfig, LaneKeepEnv, Policy
 
     cfg = load_json(args.config)
-    _take(cfg, ("track", "vehicle", "env", "init_policy", "hidden", *keys), where)
-    _check_trainer(cfg, [(trainer, keys)], where)
+    _check_trainer(cfg, [trainer], where, "track", "vehicle", "env", "init_policy", "hidden")
     if cfg.get("init_policy") is not None and "hidden" in cfg:
         raise ConfigError(f"{where} gives both 'init_policy' and 'hidden'; "
                           "the loaded network sets its own layer sizes")
@@ -147,19 +154,18 @@ def cmd_train_bc(args) -> int:
     from .learning import balance_dataset, clone_behavior, collect_expert_dataset
 
     cfg = load_json(args.config)
-    _take(cfg, ("track", "vehicle", *_EXPERT_KEYS, *_BALANCE_KEYS, *_CLONE_KEYS),
-          "train-bc config")
-    _check_trainer(cfg, [(balance_dataset, _BALANCE_KEYS), (clone_behavior, _CLONE_KEYS)],
-                   "train-bc config")
+    _check_trainer(cfg, [collect_expert_dataset, balance_dataset, clone_behavior],
+                   "train-bc config", "track", "vehicle")
     # collect_expert_dataset passes these to SimConfig; check them before any run
-    build_section(SimConfig, _pick(cfg, _EXPERT_KEYS), "train-bc config")
+    build_section(SimConfig, _pick(cfg, _keys(collect_expert_dataset)), "train-bc config")
     track, params = _track_and_vehicle(cfg)
     policy_path, log_path = _policy_out_paths(args.out)
 
-    obs, labels, expert = collect_expert_dataset(track, params, **_pick(cfg, _EXPERT_KEYS))
-    obs, labels = balance_dataset(obs, labels, rng=_rng(cfg), **_pick(cfg, _BALANCE_KEYS))
+    obs, labels, expert = collect_expert_dataset(
+        track, params, **_pick(cfg, _keys(collect_expert_dataset)))
+    obs, labels = balance_dataset(obs, labels, rng=_rng(cfg), **_pick(cfg, _keys(balance_dataset)))
     policy, history = clone_behavior(obs, labels, steer_max=params.steer_max, log_path=log_path,
-                                     **_pick(cfg, _CLONE_KEYS))
+                                     **_pick(cfg, _keys(clone_behavior)))
     policy.save(policy_path)
     print(f"expert rms_cross_track: {expert.metrics.rms_cross_track:.6g}")
     print(f"dataset size after balancing: {labels.size}")
@@ -171,10 +177,9 @@ def cmd_train_bc(args) -> int:
 def cmd_train_ppo(args) -> int:
     from .learning import evaluate_policy, train_ppo
 
-    cfg, env, policy, policy_path, log_path = _env_setup(args, train_ppo, _PPO_KEYS,
-                                                         "train-ppo config")
+    cfg, env, policy, policy_path, log_path = _env_setup(args, train_ppo, "train-ppo config")
     r0, e0 = evaluate_policy(env, policy)
-    policy, history = train_ppo(env, policy, log_path=log_path, **_pick(cfg, _PPO_KEYS))
+    policy, history = train_ppo(env, policy, log_path=log_path, **_pick(cfg, _keys(train_ppo)))
     r1, e1 = evaluate_policy(env, policy)
     policy.save(policy_path)
     print(f"mean reward before: {r0:.6g} after: {r1:.6g}")
@@ -186,10 +191,9 @@ def cmd_train_ppo(args) -> int:
 def cmd_evolve(args) -> int:
     from .learning import evaluate_policy, evolve_policy
 
-    cfg, env, policy, policy_path, log_path = _env_setup(args, evolve_policy, _EVOLVE_KEYS,
-                                                         "evolve config")
+    cfg, env, policy, policy_path, log_path = _env_setup(args, evolve_policy, "evolve config")
     policy, best_f, history = evolve_policy(env, policy, log_path=log_path,
-                                            **_pick(cfg, _EVOLVE_KEYS))
+                                            **_pick(cfg, _keys(evolve_policy)))
     reward, err = evaluate_policy(env, policy)
     policy.save(policy_path)
     print(f"best training fitness: {best_f:.6g}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .classical import SPEED_PID_GAINS, GainSchedule, OutputShaper, PidController, PidGains
 from .geometric import PurePursuitConfig, StanleyConfig
@@ -72,6 +72,13 @@ def _check_numbers(callee, spec: dict, where: str) -> None:
             _number(value, kinds, key, where)
 
 
+def _keys(callee) -> tuple[str, ...]:
+    """The keyword-only parameters of `callee`: the options a config may
+    set, with their defaults in its signature."""
+    return tuple(name for name, p in inspect.signature(callee).parameters.items()
+                 if p.kind is p.KEYWORD_ONLY)
+
+
 # Steering limits, in radians; each may also be given in degrees as <name>_deg.
 _ANGLES = ("steer_max", "u_max", "delta_max")
 
@@ -109,19 +116,24 @@ def _reject_unread(spec: dict, keys, reader: str) -> None:
         raise ConfigError(f"{reader} reads none of {given}")
 
 
-def build_section(cls, spec: dict | None, where: str, **derived):
-    """Build dataclass `cls` from a config section.
+def build_section(callee, spec: dict | None, where: str, **derived):
+    """Call `callee` (a dataclass or a function) on a config section.
 
-    The section's keys are the field names.  A field the section leaves out
-    takes its value from `derived`, else the class default.  A value given
-    for a numeric field must be a number (not a bool), an integer for an
-    int field; one for a bool field must be true or false.
+    The section's keys are the callee's parameters, a dataclass's fields.
+    One the section leaves out takes its value from `derived`, else the
+    callee's default; one with neither is a missing key.  A value given for
+    a numeric parameter must be a number (not a bool), an integer for an
+    int one; one for a bool parameter must be true or false.
     """
-    spec = _take(spec or {}, [f.name for f in fields(cls)], where)
-    _check_numbers(cls, spec, where)
+    params = inspect.signature(callee).parameters
+    spec = _take(spec or {}, params, where)
+    _check_numbers(callee, spec, where)
+    for name, param in params.items():
+        if param.default is param.empty and name not in spec and name not in derived:
+            raise ConfigError(f"{where} missing key {name!r}")
     try:
-        return cls(**{**derived, **spec})
-    except (ValueError, TypeError) as exc:
+        return callee(**{**derived, **spec})
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
@@ -129,12 +141,12 @@ def build_vehicle(spec: dict | None) -> VehicleParams:
     return build_section(VehicleParams, spec, "vehicle")
 
 
-# track kind -> (builder, the keys it takes besides 'kind' and 'name')
+# track kind -> its builder, whose parameters are the kind's keys
 _TRACK_KINDS = {
-    "straight": (straight_track, {"length", "spacing", "v_ref", "start", "heading"}),
-    "circle": (circle_track, {"radius", "spacing", "v_ref"}),
-    "racetrack": (racetrack, {"straight", "radius", "spacing", "v_ref"}),
-    "csv": (Track.from_csv, {"path", "closed", "v_ref"}),
+    "straight": straight_track,
+    "circle": circle_track,
+    "racetrack": racetrack,
+    "csv": Track.from_csv,
 }
 
 
@@ -144,24 +156,15 @@ def build_track(spec: dict) -> Track:
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in _TRACK_KINDS:
         raise ConfigError(f"unknown track kind {kind!r}")
-    builder, keys = _TRACK_KINDS[kind]
     args = {k: v for k, v in spec.items() if k not in ("kind", "name")}
-    _take(args, keys, f"track kind {kind!r}")
-    _check_numbers(builder, args, f"track kind {kind!r}")
-    if kind == "csv" and "path" not in args:
-        raise ConfigError("track kind 'csv' missing key 'path'")
-    try:
-        return builder(**args)
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(f"bad track spec: {exc}") from exc
+    return build_section(_TRACK_KINDS[kind], args, f"track kind {kind!r}")
 
 
 def build_shaper(spec: dict | None) -> OutputShaper:
     return build_section(OutputShaper, spec, "shaper")
 
 
-# PidController's keyword options; its signature holds their defaults
-_PID_OPTIONS = ("integral_clamp", "buffer_len", "d_filter")
+_PID_OPTIONS = _keys(PidController)
 _GAINS = tuple(f.name for f in fields(PidGains))
 
 
@@ -176,18 +179,15 @@ def _schedule_row(row, where: str) -> tuple[float, PidGains]:
 def _build_pid(spec: dict, where: str, gains: PidGains = PidGains()) -> PidController:
     """A PID from its section; fixed gains it leaves out keep `gains`."""
     spec = _take(spec, ("type", "shaper", "schedule", *_GAINS, *_PID_OPTIONS), where)
-    if "schedule" in spec:
+    if "schedule" not in spec:
+        gains = build_section(PidGains, _pick(spec, _GAINS), where, **vars(gains))
+    else:
         _reject_unread(spec, _GAINS, f"{where} with a 'schedule'")
-    _check_numbers(PidGains, _pick(spec, _GAINS), where)
-    _check_numbers(PidController, _pick(spec, _PID_OPTIONS), where)
-    try:
-        if "schedule" in spec:
-            gains = GainSchedule([_schedule_row(row, where) for row in spec["schedule"]])
-        else:
-            gains = replace(gains, **_pick(spec, _GAINS))
-        return PidController(gains, **_pick(spec, _PID_OPTIONS))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {where} config: {exc}") from exc
+        if not isinstance(spec["schedule"], list):
+            raise ConfigError(f"bad {where}: 'schedule' must be a list of rows")
+        gains = build_section(GainSchedule, {}, where, entries=[
+            _schedule_row(row, where) for row in spec["schedule"]])
+    return build_section(PidController, _pick(spec, _PID_OPTIONS), where, gains=gains)
 
 
 def _law(spec: dict) -> dict:
@@ -249,10 +249,8 @@ def build_longitudinal(spec: dict | None, lateral):
     if kind == "pid":
         return LongitudinalPid(_build_pid(spec, "longitudinal pid", SPEED_PID_GAINS))
     if kind == "none":
-        spec = _take(spec, ("type", "value"), "longitudinal none")
-        value = _pick(spec, ("value",))
-        _check_numbers(ConstantAccel, value, "longitudinal none")
-        return ConstantAccel(**value)
+        return build_section(ConstantAccel, {k: v for k, v in spec.items() if k != "type"},
+                             "longitudinal none")
     if kind == "mpc":
         _take(spec, ("type",), "longitudinal mpc")
         if not isinstance(lateral, MpcLateral):

@@ -104,9 +104,8 @@ def append_training_log(path, rows, seed: int) -> None:
 _EXPERT_STARTS = ((0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (-0.5, 0.15), (0.5, -0.15))
 
 
-def collect_expert_dataset(track: Track, params: VehicleParams, *,
-                           dt: float = 0.02, max_steps: int = 40000,
-                           starts=_EXPERT_STARTS):
+def collect_expert_dataset(track: Track, params: VehicleParams, starts=_EXPERT_STARTS, *,
+                           dt: float = 0.02, max_steps: int = 40000):
     """Closed-loop expert runs (front-axle geometric steering + speed PID)
     from each perturbed start; returns (observations, steer_labels,
     RunRecord of the unperturbed run)."""
@@ -145,9 +144,9 @@ def collect_expert_dataset(track: Track, params: VehicleParams, *,
     return np.concatenate(all_obs), np.concatenate(all_labels), clean_record
 
 
-def balance_dataset(obs: np.ndarray, labels: np.ndarray, *,
-                    zero_thresh: float = 0.02, zero_cap: float = 0.5,
-                    rng: np.random.Generator | None = None):
+def balance_dataset(obs: np.ndarray, labels: np.ndarray,
+                    rng: np.random.Generator | None = None, *,
+                    zero_thresh: float = 0.02, zero_cap: float = 0.5):
     """Downsample near-zero-steer rows so they are at most `zero_cap` of the set."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -163,10 +162,9 @@ def balance_dataset(obs: np.ndarray, labels: np.ndarray, *,
     return obs[sel], labels[sel]
 
 
-def clone_behavior(obs: np.ndarray, labels: np.ndarray, *,
-                   steer_max: float = STEER_MAX, hidden=(32, 32),
-                   epochs: int = 60, batch: int = 64, alpha: float = 1e-3,
-                   seed: int = 0, log_path=None):
+def clone_behavior(obs: np.ndarray, labels: np.ndarray, steer_max: float = STEER_MAX,
+                   log_path=None, *, hidden=(32, 32), epochs: int = 60, batch: int = 64,
+                   alpha: float = 1e-3, seed: int = 0):
     """Fit a Policy to expert steering by minibatch MSE regression.
 
     Labels are normalized by the steering limit so the tanh output range
@@ -322,10 +320,9 @@ def evaluate_policy(env: LaneKeepEnv, policy: Policy, episodes: int = 20,
     return total_r / episodes, total_e / max(total_n, 1)
 
 
-def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
+def train_ppo(env: LaneKeepEnv, policy: Policy, log_path=None, *, iterations: int = 600,
               episodes_per_iter: int = 8, epochs: int = 4, eps_clip: float = 0.2,
-              alpha: float = 3e-4, sigma: float | None = None, seed: int = 0,
-              log_path=None):
+              alpha: float = 3e-4, sigma: float | None = None, seed: int = 0):
     """Clipped-surrogate policy gradient on a Gaussian steering policy.
 
     Advantages are undiscounted reward-to-go minus the batch mean; the
@@ -367,11 +364,8 @@ def train_ppo(env: LaneKeepEnv, policy: Policy, *, iterations: int = 600,
             mu = policy.steer_max * yhat[:, 0]
             logp = -((act - mu) ** 2) * inv_two_var
             ratio = np.exp(logp - logp_old)
-            clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip)
             # gradient is live where the unclipped branch is active
-            active = (ratio * adv <= clipped * adv) | (
-                (ratio >= 1.0 - eps_clip) & (ratio <= 1.0 + eps_clip)
-            )
+            active = ppo_surrogate(ratio, adv, eps_clip) == ratio * adv
             dmu = np.where(active, adv * ratio * (act - mu) / (sigma * sigma), 0.0) / n
             # ascend the surrogate: feed the negated gradient to the minimizer
             dy = (-dmu * policy.steer_max).reshape(-1, 1)
@@ -434,9 +428,9 @@ def evolve_params(eval_fn, x0, *, population: int = 16, generations: int = 40,
     return best_x, best_f, history
 
 
-def evolve_policy(env: LaneKeepEnv, policy: Policy, *, population: int = 12,
+def evolve_policy(env: LaneKeepEnv, policy: Policy, log_path=None, *, population: int = 12,
                   generations: int = 15, sigma: float = 0.05, seed: int = 0,
-                  eval_episodes: int = 2, log_path=None):
+                  eval_episodes: int = 2):
     """Evolve the policy weight vector against deterministic episode reward."""
     scratch = Policy(mlp=policy.mlp.clone(), steer_max=policy.steer_max)
 

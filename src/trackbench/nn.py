@@ -149,8 +149,8 @@ _CE_CLIP = 1e-12
 
 
 def loss(yhat: np.ndarray, y: np.ndarray, kind: str = "mse") -> float:
-    """mse: mean squared error over elements.  cross_entropy: binary form
-    for 1-wide outputs, multiclass -sum(y log yhat)/n for wider ones."""
+    """mse: mean squared error over elements.  cross_entropy: the binary
+    form, for outputs in (0, 1)."""
     yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if yhat.shape != y.shape:
@@ -160,25 +160,19 @@ def loss(yhat: np.ndarray, y: np.ndarray, kind: str = "mse") -> float:
         return float(np.mean(d * d))
     if kind == "cross_entropy":
         q = np.clip(yhat, _CE_CLIP, 1.0 - _CE_CLIP)
-        if q.ndim == 2 and q.shape[1] > 1:
-            return float(-np.sum(y * np.log(q)) / q.shape[0])
         return float(-np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def loss_grad(yhat: np.ndarray, y: np.ndarray, kind: str = "mse") -> np.ndarray:
+    """Gradient of the mse loss with respect to `yhat`."""
     yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if yhat.shape != y.shape:
         raise ValueError(f"shape mismatch {yhat.shape} vs {y.shape}")
-    if kind == "mse":
-        return 2.0 * (yhat - y) / yhat.size
-    if kind == "cross_entropy":
-        q = np.clip(yhat, _CE_CLIP, 1.0 - _CE_CLIP)
-        if q.ndim == 2 and q.shape[1] > 1:
-            return -(y / q) / q.shape[0]
-        return (-(y / q) + (1.0 - y) / (1.0 - q)) / q.size
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind != "mse":
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return 2.0 * (yhat - y) / yhat.size
 
 
 # ------------------------------------------------------------- optimizers

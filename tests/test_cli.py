@@ -310,12 +310,21 @@ _TRAINER_BASE = {
     ("train-bc", "epochs", "x"),
     ("train-bc", "zero_cap", True),
     ("train-bc", "hidden", [4, "x"]),
+    ("train-bc", "epochs", 0),
+    ("train-bc", "batch", 0),
+    ("train-bc", "seed", -1),
+    ("train-bc", "zero_cap", -0.5),
     ("train-ppo", "iterations", "x"),
     ("train-ppo", "sigma", True),
     ("train-ppo", "hidden", [4, 0]),
+    ("train-ppo", "episodes_per_iter", 0),
+    ("train-ppo", "seed", -1),
+    ("train-ppo", "sigma", 0),
     ("evolve", "population", 2.5),
     ("evolve", "population", 1),
     ("evolve", "hidden", 8),
+    ("evolve", "eval_episodes", 0),
+    ("evolve", "seed", -1),
 ], ids=str)
 def test_trainer_bad_value_is_config_error(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path, {
