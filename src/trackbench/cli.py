@@ -98,7 +98,8 @@ _RANGES = {
     "balance_dataset": {"zero_cap": (">=", 0)},
     "clone_behavior": {"epochs": (">=", 1), "batch": (">=", 1), "seed": (">=", 0)},
     "train_ppo": {"episodes_per_iter": (">=", 1), "sigma": (">", 0), "seed": (">=", 0)},
-    "evolve_policy": {"population": (">=", 2), "eval_episodes": (">=", 1), "seed": (">=", 0)},
+    "evolve_policy": {"population": (">=", 2), "generations": (">=", 1),
+                      "eval_episodes": (">=", 1), "seed": (">=", 0)},
 }
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
@@ -159,10 +160,12 @@ def cmd_train_bc(args) -> int:
     # collect_expert_dataset passes these to SimConfig; check them before any run
     build_section(SimConfig, _pick(cfg, _keys(collect_expert_dataset)), "train-bc config")
     track, params = _track_and_vehicle(cfg)
+    try:
+        obs, labels, expert = collect_expert_dataset(
+            track, params, **_pick(cfg, _keys(collect_expert_dataset)))
+    except RuntimeError as exc:  # an expert run that did not finish
+        raise ConfigError(str(exc)) from exc
     policy_path, log_path = _policy_out_paths(args.out)
-
-    obs, labels, expert = collect_expert_dataset(
-        track, params, **_pick(cfg, _keys(collect_expert_dataset)))
     obs, labels = balance_dataset(obs, labels, rng=_rng(cfg), **_pick(cfg, _keys(balance_dataset)))
     policy, history = clone_behavior(obs, labels, steer_max=params.steer_max, log_path=log_path,
                                      **_pick(cfg, _keys(clone_behavior)))
@@ -203,9 +206,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_mpc_design(args) -> int:
-    if args.rise <= 0.0 or args.settle <= 0.0:
-        raise ConfigError("--rise and --settle must be positive")
-    ranges = design_params(args.rise, args.settle)
+    try:
+        ranges = design_params(args.rise, args.settle)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key in ("ts", "p", "m"):
         lo, hi = ranges[key]
         print(f"{key}: [{format(lo, '.6g')}, {format(hi, '.6g')}]")

@@ -62,12 +62,9 @@ def lookahead_distance(cfg: PurePursuitConfig, v_f: float) -> float:
 
 
 def pure_pursuit_steer(
-    cfg: PurePursuitConfig, alpha: float, v_f: float, params: VehicleParams,
-    d_l: float | None = None,
+    cfg: PurePursuitConfig, alpha: float, d_l: float, params: VehicleParams
 ) -> float:
     """delta = atan(2 L sin(alpha) / d_l), clipped."""
-    if d_l is None:
-        d_l = lookahead_distance(cfg, v_f)
     raw = math.atan(2.0 * params.wheelbase * math.sin(alpha) / d_l)
     return clamp(raw, -cfg.delta_max, cfg.delta_max)
 

@@ -104,18 +104,18 @@ def append_training_log(path, rows, seed: int) -> None:
 _EXPERT_STARTS = ((0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (-0.5, 0.15), (0.5, -0.15))
 
 
-def collect_expert_dataset(track: Track, params: VehicleParams, starts=_EXPERT_STARTS, *,
+def collect_expert_dataset(track: Track, params: VehicleParams, *,
                            dt: float = 0.02, max_steps: int = 40000):
     """Closed-loop expert runs (front-axle geometric steering + speed PID)
-    from each perturbed start; returns (observations, steer_labels,
-    RunRecord of the unperturbed run)."""
+    from each of _EXPERT_STARTS; returns (observations, steer_labels,
+    RunRecord of the unperturbed first run)."""
     from .geometric import StanleyConfig
     from .sim import LongitudinalPid, Paired, SimConfig, StanleyLateral, simulate
 
     tangent0 = float(track.seg_tangent[0])
     all_obs, all_labels = [], []
     clean_record = None
-    for offset, dheading in starts:
+    for offset, dheading in _EXPERT_STARTS:
         x0 = float(track.xs[0]) - offset * math.sin(tangent0)
         y0 = float(track.ys[0]) + offset * math.cos(tangent0)
         init = VehicleState(x0, y0, kernels.wrap_angle(tangent0 + dheading),
@@ -128,7 +128,7 @@ def collect_expert_dataset(track: Track, params: VehicleParams, starts=_EXPERT_S
             raise RuntimeError(
                 f"expert run from start ({offset:g}, {dheading:g}) ended "
                 f"{record.termination}; cannot collect demonstrations")
-        if offset == 0.0 and dheading == 0.0:
+        if clean_record is None:  # the first start is the unperturbed one
             clean_record = record
         nrows = record.rows.shape[0]
         obs = np.empty((nrows, OBS_DIM))
@@ -139,17 +139,12 @@ def collect_expert_dataset(track: Track, params: VehicleParams, starts=_EXPERT_S
             hint = err.nearest_index
         all_obs.append(obs)
         all_labels.append(record.rows[:, 6].copy())
-    if clean_record is None:
-        raise ValueError("starts must include the unperturbed (0, 0) start")
     return np.concatenate(all_obs), np.concatenate(all_labels), clean_record
 
 
-def balance_dataset(obs: np.ndarray, labels: np.ndarray,
-                    rng: np.random.Generator | None = None, *,
+def balance_dataset(obs: np.ndarray, labels: np.ndarray, rng: np.random.Generator, *,
                     zero_thresh: float = 0.02, zero_cap: float = 0.5):
     """Downsample near-zero-steer rows so they are at most `zero_cap` of the set."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     near = np.abs(labels) < zero_thresh
     n_zero = int(near.sum())
     n_other = labels.size - n_zero

@@ -34,7 +34,6 @@ class VehicleParams:
 
     wheelbase: float = 2.5
     dist_rear: float = 1.25
-    dist_front: float = 1.25
     mass: float = 1500.0
     yaw_inertia: float = 2250.0
     corner_stiff_front: float = 80000.0
@@ -52,7 +51,6 @@ class VehicleParams:
         positive = (
             ("wheelbase", self.wheelbase),
             ("dist_rear", self.dist_rear),
-            ("dist_front", self.dist_front),
             ("mass", self.mass),
             ("yaw_inertia", self.yaw_inertia),
             ("corner_stiff_front", self.corner_stiff_front),
@@ -67,8 +65,10 @@ class VehicleParams:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.dist_rear >= self.wheelbase:
             raise ValueError("dist_rear must be smaller than wheelbase")
-        if abs(self.dist_front - (self.wheelbase - self.dist_rear)) > 1e-9:
-            raise ValueError("dist_front must equal wheelbase - dist_rear")
+
+    @property
+    def dist_front(self) -> float:
+        return self.wheelbase - self.dist_rear
 
 
 @dataclass

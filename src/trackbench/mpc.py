@@ -288,10 +288,12 @@ def design_params(t_r: float, t_s: float) -> dict[str, tuple[float, float]]:
     at the low end of the Ts range; m spans 10-20% of p evaluated at the low
     end of the p range (rounded up, floor 1).
     """
-    if not (t_r > 0.0 and t_s > 0.0):
-        raise ValueError("rise and settling times must be > 0")
+    if not (0.0 < t_r < math.inf and 0.0 < t_s < math.inf):
+        raise ValueError(f"rise and settling times must be finite and > 0, got {t_r} and {t_s}")
     ts_lo = 0.05 * t_r
     ts_hi = 0.10 * t_r
+    if not (ts_lo > 0.0 and 1.5 * t_s / ts_lo < math.inf):
+        raise ValueError(f"settling time {t_s} is too long for rise time {t_r}")
     p_lo = int(round(t_s / ts_lo))
     p_hi = int(round(1.5 * t_s / ts_lo))
     m_lo = max(math.ceil(0.1 * p_lo), 1)

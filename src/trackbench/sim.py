@@ -317,7 +317,7 @@ class PurePursuitLateral:
         la = ctx.track.lookahead(rx, ry, theta, d_l, ctx.errors("rear_axle"))
         if la.end_of_track:
             ctx.end_of_track = True
-        return pure_pursuit_steer(self.cfg, la.alpha, v, params, d_l)
+        return pure_pursuit_steer(self.cfg, la.alpha, d_l, params)
 
 
 class StanleyLateral:
@@ -378,7 +378,7 @@ def _stop_reason(cfg: SimConfig, ctx: ControlContext, progress: _Progress) -> st
     if not all(map(math.isfinite, ctx.state)) or abs(v) > 1e3:
         return "diverged"
     errors = ctx.errors("cog")
-    if errors.distance > cfg.off_track_limit:
+    if abs(errors.cross_track) > cfg.off_track_limit:
         return "off_track"
     if progress.advance(errors.s):
         return "completed"

@@ -49,7 +49,6 @@ class TrackingErrors:
     heading: float
     speed: float
     nearest_index: int
-    distance: float
     s: float
     # parameter of the foot point along segment nearest_index
     t: float = 0.0
@@ -146,21 +145,15 @@ class Track:
     # ------------------------------------------------------- geometry utils
 
     def _waypoint_curvature(self) -> np.ndarray:
-        """Signed curvature per waypoint from tangent turn over arc length."""
-        kappa = np.zeros(self.npts)
-        for i in range(self.npts):
-            if self.closed:
-                prev_seg = (i - 1) % self.nseg
-                next_seg = i % self.nseg
-            else:
-                if i == 0 or i >= self.nseg:
-                    continue
-                prev_seg = i - 1
-                next_seg = i
-            dth = wrap_angle(self.seg_tangent[next_seg] - self.seg_tangent[prev_seg])
-            ds = 0.5 * (self.seg_len[prev_seg] + self.seg_len[next_seg])
-            kappa[i] = dth / ds
-        return kappa
+        """Signed curvature per waypoint: the turn from the segment before it
+        to the one after, over their mean length; 0 at an open track's ends."""
+        tangent, length = self.seg_tangent, self.seg_len
+        if self.closed:
+            # waypoint 0 joins the last segment to the first
+            tangent = np.concatenate((tangent[-1:], tangent))
+            length = np.concatenate((length[-1:], length))
+        kappa = wrap_angle(np.diff(tangent)) / (0.5 * (length[:-1] + length[1:]))
+        return kappa if self.closed else np.concatenate(([0.0], kappa, [0.0]))
 
     def point_on_segment(self, seg: int, t: float) -> tuple[float, float]:
         return float(self._x[seg] + t * self._dx[seg]), float(self._y[seg] + t * self._dy[seg])
@@ -226,22 +219,19 @@ class Track:
         py: float,
         heading: float,
         d_l: float,
-        foot: TrackingErrors | None = None,
+        foot: TrackingErrors,
     ) -> LookaheadResult:
         """First forward intersection of the radius-d_l circle with the track.
 
-        Searched onward from the foot point of `foot` (errors already
-        measured at (px, py)), or of a global nearest query without it.  If
-        the track never enters the circle the nearest forward waypoint beyond
-        it substitutes (flagged fallback); if a finite track is exhausted the
-        final waypoint is returned with end_of_track set.
+        Searched onward from the foot point of `foot`, the errors already
+        measured at (px, py).  If the track never enters the circle the
+        nearest forward waypoint beyond it substitutes (flagged fallback); if
+        a finite track is exhausted the final waypoint is returned with
+        end_of_track set.
         """
         if not d_l > 0.0:
             raise ValueError(f"lookahead distance must be > 0, got {d_l}")
-        if foot is None:
-            start, t_lo, _ = self.nearest(px, py)
-        else:
-            start, t_lo = foot.nearest_index, foot.t
+        start, t_lo = foot.nearest_index, foot.t
 
         seg = start
         for _ in range(self.nseg):
@@ -329,7 +319,6 @@ class Track:
             heading=wrap_angle(self._tangent[seg] - theta),
             speed=self.v_ref_on_segment(seg, t) - v,
             nearest_index=seg,
-            distance=dist,
             s=self.arc_length_at(seg, t),
             t=t,
         )

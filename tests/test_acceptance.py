@@ -161,7 +161,7 @@ def test_criterion_3_hand_check_oracles(params):
     ay, rdot = lateral_accel(
         0.0, 0.0, 10.0, 0.1,
         VehicleParams(mass=1000.0, yaw_inertia=1500.0, corner_stiff_front=50000.0,
-                      corner_stiff_rear=50000.0, dist_front=1.25, dist_rear=1.25))
+                      corner_stiff_rear=50000.0, dist_rear=1.25))
     check("lateral accel", ay, 5.0, 1e-12)
     check("yaw accel", rdot, 4.166666666666667, 1e-12)
     check("second-order step",
@@ -175,10 +175,10 @@ def test_criterion_3_hand_check_oracles(params):
     check("relay scaling", bang_bang_step(-1.0, 0.0, d_max, -d_max, scale=0.1),
           math.radians(7.0), 1e-12)
     check("pure pursuit", pure_pursuit_steer(
-        PurePursuitConfig(d_l_fixed=10.0), math.radians(30.0), 8.0, params),
+        PurePursuitConfig(), math.radians(30.0), 10.0, params),
         0.244979, 1e-6)
     errors = TrackingErrors(cross_track=1.0, heading=0.1, speed=0.0,
-                            nearest_index=0, distance=1.0, s=0.0)
+                            nearest_index=0, s=0.0)
     check("stanley", stanley_steer(StanleyConfig(k_delta=2.5), errors, 9.0),
           0.344979, 1e-6)
     check("lookahead alpha", -math.asin(2.0 / 10.0), -0.201358, 1e-6)

@@ -123,8 +123,12 @@ def test_mpc_design_prints_ranges(capsys):
 
 
 def test_mpc_design_rejects_negative(capsys):
-    assert main(["mpc-design", "--rise", "-1", "--settle", "5"]) == 1
-    assert "error:" in capsys.readouterr().err
+    for rise, settle in [("-1", "5"), ("nan", "5"), ("inf", "5"), ("2", "nan"),
+                         ("2", "inf"), ("2", "-1")]:
+        assert main(["mpc-design", "--rise", rise, "--settle", settle]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "finite and > 0" in captured.err
+        assert captured.out == ""
 
 
 def test_train_bc_writes_policy_and_log(tmp_path, capsys):
@@ -144,6 +148,15 @@ def test_train_bc_writes_policy_and_log(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "final mse:" in text
     assert "policy saved to" in text
+
+
+def test_train_bc_failed_expert_run_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"track": {"kind": "straight", "length": 50}, "max_steps": 10})
+    out = tmp_path / "nets" / "p.bin"
+    assert main(["train-bc", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expert run from start (0, 0) ended max_steps")
+    assert not out.parent.exists()
 
 
 def test_train_ppo_tiny_run(tmp_path, capsys):
@@ -322,6 +335,7 @@ _TRAINER_BASE = {
     ("train-ppo", "sigma", 0),
     ("evolve", "population", 2.5),
     ("evolve", "population", 1),
+    ("evolve", "generations", 0),
     ("evolve", "hidden", 8),
     ("evolve", "eval_episodes", 0),
     ("evolve", "seed", -1),

@@ -58,6 +58,10 @@ def test_build_vehicle_defaults_and_overrides():
     assert params.steer_max == pytest.approx(math.radians(30.0), rel=1e-12)
     with pytest.raises(ConfigError):
         build_vehicle({"masss": 1200.0})
+    # the front distance follows from the wheelbase and the rear distance
+    with pytest.raises(ConfigError, match="dist_front"):
+        build_vehicle({"dist_front": 1.25})
+    assert build_vehicle({"wheelbase": 3.0, "dist_rear": 1.2}).dist_front == 3.0 - 1.2
     with pytest.raises(ConfigError):
         build_vehicle({"mass": -5.0})
 

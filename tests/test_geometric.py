@@ -25,11 +25,11 @@ from trackbench.track import TrackingErrors, racetrack
 
 def errs(e_ct=0.0, e_psi=0.0):
     return TrackingErrors(
-        cross_track=e_ct, heading=e_psi, speed=0.0, nearest_index=0, distance=abs(e_ct), s=0.0
+        cross_track=e_ct, heading=e_psi, speed=0.0, nearest_index=0, s=0.0
     )
 
 
-PP = PurePursuitConfig(d_l_fixed=10.0, delta_max=math.radians(35.0))
+PP = PurePursuitConfig(delta_max=math.radians(35.0))
 
 
 def test_pure_pursuit_hand_value(params):
@@ -40,14 +40,13 @@ def test_pure_pursuit_hand_value(params):
 
 
 def test_pure_pursuit_zero_alpha_is_zero(params):
-    assert pure_pursuit_steer(PP, 0.0, 12.0, params) == 0.0
+    assert pure_pursuit_steer(PP, 0.0, 10.0, params) == 0.0
 
 
 def test_pure_pursuit_saturates(params):
-    cfg = PurePursuitConfig(d_l_fixed=0.5, delta_max=math.radians(35.0))
-    out = pure_pursuit_steer(cfg, math.radians(80.0), 5.0, params)
+    out = pure_pursuit_steer(PP, math.radians(80.0), 0.5, params)
     assert out == pytest.approx(math.radians(35.0), rel=1e-12)
-    out = pure_pursuit_steer(cfg, -math.radians(80.0), 5.0, params)
+    out = pure_pursuit_steer(PP, -math.radians(80.0), 0.5, params)
     assert out == pytest.approx(-math.radians(35.0), rel=1e-12)
 
 
@@ -59,7 +58,7 @@ def test_pure_pursuit_matches_curvature_geometry(params):
         alpha = float(rng.uniform(-0.6, 0.6))
         v_f = float(rng.uniform(4.0, 20.0))
         d_l = lookahead_distance(cfg, v_f)
-        delta = pure_pursuit_steer(cfg, alpha, v_f, params)
+        delta = pure_pursuit_steer(cfg, alpha, d_l, params)
         if abs(delta) < 1.0 - 1e-9:
             kappa = 2.0 * math.sin(alpha) / d_l
             assert math.tan(delta) / params.wheelbase == pytest.approx(kappa, rel=1e-12)
@@ -69,8 +68,8 @@ def test_pure_pursuit_odd_in_alpha(params):
     rng = np.random.default_rng(17)
     for _ in range(100):
         alpha = float(rng.uniform(0.0, 1.2))
-        left = pure_pursuit_steer(PP, alpha, 8.0, params)
-        right = pure_pursuit_steer(PP, -alpha, 8.0, params)
+        left = pure_pursuit_steer(PP, alpha, 10.0, params)
+        right = pure_pursuit_steer(PP, -alpha, 10.0, params)
         assert left == pytest.approx(-right, rel=1e-12, abs=1e-15)
 
 

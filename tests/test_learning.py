@@ -148,22 +148,20 @@ def test_clone_behavior_writes_log(tmp_path, rng):
 
 def test_collect_expert_dataset_shapes(params):
     track = straight_track(60.0, spacing=1.0, v_ref=8.0)
-    obs, labels, record = collect_expert_dataset(track, params, starts=((0.0, 0.0),))
-    assert obs.shape == (record.rows.shape[0], OBS_DIM)
-    assert np.array_equal(labels, record.rows[:, 6])
+    obs, labels, record = collect_expert_dataset(track, params)
+    assert obs.shape == (labels.size, OBS_DIM)
+    # the unperturbed run comes first, then the perturbed ones
+    nrows = record.rows.shape[0]
+    assert labels.size > nrows
+    assert np.array_equal(labels[:nrows], record.rows[:, 6])
+    assert record.rows[0, 2] == track.ys[0] and record.rows[0, 3] == track.seg_tangent[0]
     assert record.termination in ("completed", "end_of_track")
-
-
-def test_collect_expert_dataset_requires_clean_start(params):
-    track = straight_track(60.0, spacing=1.0, v_ref=8.0)
-    with pytest.raises(ValueError):
-        collect_expert_dataset(track, params, starts=((0.5, 0.0),))
 
 
 def test_collect_expert_dataset_rejects_failed_expert(bench_track):
     weak = VehicleParams(steer_max=0.005)  # cannot corner
     with pytest.raises(RuntimeError):
-        collect_expert_dataset(bench_track, weak, starts=((0.0, 0.0),))
+        collect_expert_dataset(bench_track, weak)
 
 
 def test_ppo_surrogate_hand_values():

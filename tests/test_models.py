@@ -30,7 +30,7 @@ def test_slip_angle_zero():
 
 
 def test_slip_angle_hand_value():
-    p = VehicleParams(wheelbase=2.5, dist_rear=1.25, dist_front=1.25)
+    p = VehicleParams(wheelbase=2.5, dist_rear=1.25)
     beta = slip_angle(0.349066, p)
     assert beta == pytest.approx(SLIP_20DEG, rel=1e-12)
     # 6-digit figure holds at the precision it carries
@@ -38,7 +38,7 @@ def test_slip_angle_hand_value():
 
 
 def test_slip_angle_half_wheelbase_form():
-    p = VehicleParams(wheelbase=2.5, dist_rear=1.25, dist_front=1.25)
+    p = VehicleParams(wheelbase=2.5, dist_rear=1.25)
     for steer in (-1.2, -0.3, 0.1, 0.8):
         assert slip_angle(steer, p) == pytest.approx(
             math.atan(math.tan(steer) / 2.0), rel=1e-15)
@@ -67,7 +67,7 @@ def test_kinematic_derivatives_straight_line():
 
 
 def test_kinematic_derivatives_turn_rate_hand_value():
-    p = VehicleParams(wheelbase=2.5, dist_rear=1.25, dist_front=1.25)
+    p = VehicleParams(wheelbase=2.5, dist_rear=1.25)
     d = kinematic_derivatives(VehicleState(v=10.0), ControlInput(steer=0.349066), p)
     assert d.dtheta == pytest.approx(DTHETA_20DEG, rel=1e-12)
     assert d.dtheta == pytest.approx(1.43236, abs=5e-6)
@@ -146,7 +146,7 @@ def test_lateral_accel_equilibrium():
 
 def test_lateral_accel_symmetric_tires_cancel_slip_term():
     p = VehicleParams(mass=1000.0, yaw_inertia=1500.0, corner_stiff_front=50000.0,
-                      corner_stiff_rear=50000.0, dist_front=1.25, dist_rear=1.25)
+                      corner_stiff_rear=50000.0, dist_rear=1.25)
     # beta enters ddtheta through (Cr*lr - Cf*lf)/Iz = 0 here
     _, dd0 = lateral_accel(0.0, 0.0, 10.0, 0.0, p)
     _, dd1 = lateral_accel(0.2, 0.0, 10.0, 0.0, p)
@@ -155,7 +155,7 @@ def test_lateral_accel_symmetric_tires_cancel_slip_term():
 
 def test_lateral_accel_hand_values():
     p = VehicleParams(mass=1000.0, yaw_inertia=1500.0, corner_stiff_front=50000.0,
-                      corner_stiff_rear=50000.0, dist_front=1.25, dist_rear=1.25)
+                      corner_stiff_rear=50000.0, dist_rear=1.25)
     ddy, ddtheta = lateral_accel(0.0, 0.0, 10.0, 0.1, p)
     assert ddy == pytest.approx(5.0, rel=1e-12)
     assert ddtheta == pytest.approx(4.166666666666667, rel=1e-12)

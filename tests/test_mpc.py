@@ -480,6 +480,11 @@ def test_design_params_rejects_nonpositive():
         design_params(0.0, 5.0)
     with pytest.raises(ValueError):
         design_params(2.0, -1.0)
+    for t_r, t_s in ((math.nan, 5.0), (math.inf, 5.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            design_params(t_r, t_s)
+    with pytest.raises(ValueError, match="too long"):
+        design_params(1e-300, 1e300)
 
 
 def test_config_validation():

@@ -87,9 +87,15 @@ def test_v_ref_interpolates_linearly():
     assert t.v_ref_on_segment(seg, frac) == pytest.approx(5.0, rel=1e-12)
 
 
+def _lookahead(track, px, py, heading, d_l):
+    """Lookahead from the foot point measured at (px, py)."""
+    foot = track.tracking_errors((px, py, heading, 0.0), "cog", VehicleParams())
+    return track.lookahead(px, py, heading, d_l, foot)
+
+
 def test_lookahead_straight_ahead():
     t = straight_track(50.0, spacing=1.0, v_ref=5.0)
-    la = t.lookahead(0.0, 0.0, 0.0, 5.0)
+    la = _lookahead(t, 0.0, 0.0, 0.0, 5.0)
     assert la.alpha == pytest.approx(0.0, abs=1e-12)
     assert math.hypot(la.x - 0.0, la.y - 0.0) == pytest.approx(5.0, abs=1e-9)
     assert not la.fallback and not la.end_of_track
@@ -98,7 +104,7 @@ def test_lookahead_straight_ahead():
 def test_lookahead_left_offset_hand_value():
     # 1 m left of an east-bound line, heading east: target is right of heading
     t = straight_track(50.0, spacing=1.0, v_ref=5.0)
-    la = t.lookahead(10.0, 1.0, 0.0, 5.0)
+    la = _lookahead(t, 10.0, 1.0, 0.0, 5.0)
     assert la.alpha == pytest.approx(-math.asin(0.2), rel=1e-9)
     assert la.alpha == pytest.approx(-0.201358, abs=5e-7)
 
@@ -111,20 +117,20 @@ def test_lookahead_point_lies_on_circle():
         px, py = t.point_at_s(near_s)
         px += float(rng.uniform(-1.0, 1.0))
         py += float(rng.uniform(-1.0, 1.0))
-        la = t.lookahead(px, py, float(rng.uniform(-math.pi, math.pi)), 6.0)
+        la = _lookahead(t, px, py, float(rng.uniform(-math.pi, math.pi)), 6.0)
         if not la.fallback:
             assert math.hypot(la.x - px, la.y - py) == pytest.approx(6.0, abs=1e-9)
 
 
 def test_lookahead_fallback_when_circle_misses():
     t = straight_track(50.0, spacing=1.0, v_ref=5.0)
-    la = t.lookahead(10.0, 8.0, 0.0, 2.0)  # 8 m off a track, 2 m circle
+    la = _lookahead(t, 10.0, 8.0, 0.0, 2.0)  # 8 m off a track, 2 m circle
     assert la.fallback
 
 
 def test_lookahead_end_of_open_track():
     t = straight_track(20.0, spacing=1.0, v_ref=5.0)
-    la = t.lookahead(19.5, 0.0, 0.0, 5.0)
+    la = _lookahead(t, 19.5, 0.0, 0.0, 5.0)
     assert la.end_of_track
     assert la.x == pytest.approx(20.0, rel=1e-9)
 
@@ -135,7 +141,7 @@ def test_lookahead_closed_track_never_ends():
     for _ in range(200):
         px = float(rng.uniform(-20, 20))
         py = float(rng.uniform(-20, 20))
-        la = t.lookahead(px, py, float(rng.uniform(-3, 3)), 5.0)
+        la = _lookahead(t, px, py, float(rng.uniform(-3, 3)), 5.0)
         assert not la.end_of_track
 
 
@@ -238,19 +244,6 @@ def test_from_csv_names_file_and_line_of_short_row(tmp_path):
     path.write_text("x,y,v_ref\n0,0\n10,0,5\n")
     with pytest.raises(ValueError, match=r"short\.csv line 2: expected 3 columns, got 2"):
         Track.from_csv(path)
-
-
-def test_lookahead_from_measured_foot_point_matches_fresh_query(bench_track, params):
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        s = float(rng.uniform(0.0, bench_track.length))
-        px, py = bench_track.point_at_s(s)
-        px += float(rng.normal(0.0, 0.5))
-        py += float(rng.normal(0.0, 0.5))
-        heading = float(rng.uniform(-math.pi, math.pi))
-        foot = bench_track.tracking_errors((px, py, heading, 8.0), "cog", params)
-        assert (bench_track.lookahead(px, py, heading, 6.0, foot)
-                == bench_track.lookahead(px, py, heading, 6.0))
 
 
 def test_straight_track_geometry():
@@ -449,14 +442,45 @@ def test_queries_are_the_per_call_geometry_queries(track, params):
         assert foot.heading == kernels.wrap_angle(float(track.seg_tangent[foot.nearest_index])
                                                   - heading)
         d_l = float(rng.uniform(0.5, 30.0))
-        # from the measured rear-axle foot point, and from a global query
         rx = px - params.dist_rear * math.cos(heading)
         ry = py - params.dist_rear * math.sin(heading)
         la = track.lookahead(rx, ry, heading, d_l, foot)
         want = _lookahead_per_call_geometry(track, rx, ry, heading, d_l, foot.nearest_index, foot.t)
         assert _hex([la.x, la.y, la.alpha, la.fallback, la.end_of_track]) == _hex(want)
-        la = track.lookahead(px, py, heading, d_l)
-        seg, t, _ = _nearest_numpy_per_call_geometry(track.xs, track.ys, px, py,
-                                                     track.nseg, track.npts)
-        want = _lookahead_per_call_geometry(track, px, py, heading, d_l, seg, t)
-        assert _hex([la.x, la.y, la.alpha, la.fallback, la.end_of_track]) == _hex(want)
+
+
+def _curvature_loop(track):
+    """Track._waypoint_curvature as a loop over the waypoints: the reference
+    for its array form."""
+    kappa = np.zeros(track.npts)
+    for i in range(track.npts):
+        if track.closed:
+            prev_seg = (i - 1) % track.nseg
+            next_seg = i % track.nseg
+        else:
+            if i == 0 or i >= track.nseg:
+                continue
+            prev_seg = i - 1
+            next_seg = i
+        dth = kernels.wrap_angle(track.seg_tangent[next_seg] - track.seg_tangent[prev_seg])
+        ds = 0.5 * (track.seg_len[prev_seg] + track.seg_len[next_seg])
+        kappa[i] = dth / ds
+    return kappa
+
+
+def _polylines():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        xs = np.cumsum(rng.uniform(0.1, 5.0, n) * rng.choice([-1.0, 1.0], n))
+        ys = np.cumsum(rng.normal(0.0, 3.0, n))
+        closed = bool(rng.integers(2)) and n >= 3
+        yield Track(xs, ys, np.full(n, 8.0), closed=closed)
+
+
+def test_curvature_is_the_waypoint_loop():
+    reference = [build(v_ref=v) for build in (straight_track, circle_track, racetrack)
+                 for v in (5.0, 8.0, 12.0)]
+    for track in [*reference, *_TRACKS, *_polylines()]:
+        want = _curvature_loop(track)
+        assert np.array_equal(track._curvature.view(np.int64), want.view(np.int64))
