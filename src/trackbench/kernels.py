@@ -3,7 +3,8 @@ the MPC horizon cost, and the nearest-point scans.
 
 Both nearest-point scans read a segment table built once per track
 (segment_table): a hinted query scans a window of it with the scalar loop,
-an unhinted one scans all of it with numpy (see :mod:`trackbench.track`).
+or, from the learning env, runs the numpy scan on the window's slice; an
+unhinted one scans all of it with numpy (see :mod:`trackbench.track`).
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ def observation(track: Track, errors: TrackingErrors, v: float) -> np.ndarray:
 
 def build_observation(track: Track, x: float, y: float, theta: float, v: float,
                       params: VehicleParams, hint: int | None = None):
-    """Observation vector and the tracking errors it was computed from."""
-    errors = track.tracking_errors((x, y, theta, v), "cog", params, hint)
+    """Observation vector and the tracking errors it was computed from; a
+    hinted query scans its window with numpy."""
+    errors = track.tracking_errors((x, y, theta, v), "cog", params, hint, numpy_window=True)
     return observation(track, errors, v), errors
 
 

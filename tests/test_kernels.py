@@ -5,7 +5,7 @@ import pytest
 
 from trackbench import kernels
 from trackbench.models import VehicleParams, slip_angle
-from trackbench.track import Track, circle_track, racetrack, straight_track
+from trackbench.track import _HINT_TRUST_DIST, Track, circle_track, racetrack, straight_track
 
 
 def test_wrap_angle_pinned_values():
@@ -207,7 +207,12 @@ def test_numpy_scan_is_the_full_kernel_scan(track):
     # the unhinted Track.nearest runs the numpy scan; it must return what a
     # full scalar scan returns, bit for bit.  Every vertex is a query: there
     # adjacent segments tie, and on a closed track vertex 0 ties the last
-    # segment with the first.
+    # segment with the first.  The hinted query's numpy window must return
+    # what the scalar loop returns on the same window: query k is hinted at
+    # segment k % nseg, so every segment is a hint and some windows cross a
+    # closed track's seam or are cut short at an open track's end.  The
+    # last query lies beyond _HINT_TRUST_DIST of the whole track, so both
+    # fall back to the global scan.
     rng = np.random.default_rng(8)
     xs, ys, nseg, npts = track.xs, track.ys, track.nseg, track.npts
     table = kernels.segment_table(xs, ys, track.closed)
@@ -215,11 +220,17 @@ def test_numpy_scan_is_the_full_kernel_scan(track):
     for _ in range(500):
         i = int(rng.integers(npts))
         queries.append((xs[i] + float(rng.normal(0.0, 3.0)), ys[i] + float(rng.normal(0.0, 3.0))))
-    for px, py in queries:
+    far = (float(xs.max()) + 50.0, float(ys.max()) + 50.0)
+    assert track.nearest(*far)[2] > _HINT_TRUST_DIST
+    queries.append(far)
+    for k, (px, py) in enumerate(queries):
         got = kernels.nearest_on_polyline_numpy(*(c[:nseg] for c in table), px, py)
         want = kernels.nearest_on_polyline(*table, px, py, 0, nseg)
         assert got[0] == want[0], (px, py)
         assert [float(v).hex() for v in got[1:]] == [float(v).hex() for v in want[1:]], (px, py)
+        hint = k % nseg
+        got = track.nearest(px, py, hint, numpy_window=True)
+        assert _bits(*got) == _bits(*track.nearest(px, py, hint)), (px, py, hint)
 
 
 def _nearest_per_call_geometry(xs, ys, px, py, start, count, nseg, npts, closed):

@@ -3,10 +3,11 @@
 perfbench/tracing.py replaces module attributes with timing wrappers.  A
 boundary that is renamed or moved is skipped there and its per-layer metric
 reads 0, so this test loads that file (without changing it), checks that
-every boundary is found, and checks that an MPC run goes through the
-wrapped solver and reference builder.  perfbench/workload.py calls the
-program's API by name; a name it calls that breaks fails its run, so each
-workload is set up, and one ppo_train pass run and checked, as
+every boundary is found, checks that an MPC run goes through the wrapped
+solver and reference builder, and checks that the learning env's hinted
+queries do not read as fallbacks to the global scan.  perfbench/workload.py
+calls the program's API by name; a name it calls that breaks fails its run,
+so each workload is set up, and one ppo_train pass run and checked, as
 perfbench/run.py starts them.
 """
 
@@ -17,8 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trackbench import benchmark, config
+from trackbench.learning import EnvConfig, LaneKeepEnv
 from trackbench.mpc import MpcConfig, MpcLateral
 from trackbench.sim import Paired, SimConfig, simulate
 from trackbench.track import straight_track
@@ -27,10 +31,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_tracer_wraps_every_boundary(params):
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_wraps_every_boundary(params):
+    tracing = _load_tracing()
     tracer = tracing.Tracer()
     lat = MpcLateral(MpcConfig(ts=0.05, p=5, m=2), dt=0.05)
     try:
@@ -44,6 +53,31 @@ def test_tracer_wraps_every_boundary(params):
     spans = {n: int((name == i).sum()) for i, n in enumerate(names)}
     assert spans.get("mpc.optimize") == 3
     assert spans.get("mpc.build_reference") == 3
+
+
+def test_tracer_sees_env_window_scans_as_hinted_queries(params):
+    # the tracer counts a global scan under a hinted query as a fallback, so
+    # the env's numpy window scan must not run as that traced scan
+    tracing = _load_tracing()
+    suite = benchmark.reference_suite()
+    track = config.build_track(next(t for t in suite["tracks"] if t["name"] == "racetrack"))
+    env = LaneKeepEnv(track, params, EnvConfig(max_steps=50))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        env.reset(np.random.default_rng(3))
+        done = False
+        while not done:
+            _, _, done, _ = env.step(0.0)
+    finally:
+        tracer.restore()
+    names, name, parent, _, _ = tracer.arrays()
+    ids = {n: i for i, n in enumerate(names)}
+    hinted = name == ids["track.nearest.hinted"]
+    assert hinted.sum() == 50
+    child = parent >= 0
+    fallbacks = (name[child] == ids["track.global_scan"]) & hinted[parent[child]]
+    assert not fallbacks.any()
 
 
 def _workload(out: Path, name: str, *flags: str) -> dict:
@@ -67,3 +101,7 @@ def test_perfbench_ppo_train_pass_is_correct(tmp_path):
     assert result["passes"] == 1
     assert result["failed"] == 0, result["failures"]
     assert result["correct"]
+    # the workload counts one step per LaneKeepEnv.step call, so training
+    # that bypassed it would read as 0 steps per second; the evaluation
+    # alone takes at most 20 episodes of max_steps
+    assert result["pass_steps"][0] > 20 * EnvConfig().max_steps

@@ -57,6 +57,19 @@ def test_nearest_tie_breaks_to_lower_index():
     assert seg == 0
 
 
+def test_nearest_seam_tie_keeps_window_order_when_hinted(bench_track):
+    # a point the last segment's end and segment 0's start are exactly as
+    # far from: the hinted window 317..404 scans segment 325 before segment
+    # 0 and keeps it, with the loop and with the numpy window; the unhinted
+    # scan keeps the lowest index
+    assert bench_track.nseg == 326
+    px, py = -0.01729823382193707, -0.8407836562642719
+    dist = 0.84096158386366
+    assert bench_track.nearest(px, py, 325) == (325, 1.0, dist)
+    assert bench_track.nearest(px, py, 325, numpy_window=True) == (325, 1.0, dist)
+    assert bench_track.nearest(px, py) == (0, 0.0, dist)
+
+
 def test_nearest_beats_every_raw_waypoint():
     t = racetrack(50.0, 12.0, v_ref=8.0)
     rng = np.random.default_rng(7)
