@@ -194,10 +194,12 @@ def nearest_on_polyline(ax, ay, dx, dy, seg2, px, py, start, stop):
 
 
 def nearest_on_polyline_numpy(ax, ay, dx, dy, seg2, px, py):
-    """Vectorized scan of every segment of a table, each once (the first
-    nseg rows of a closed track's); same contract as a full
-    nearest_on_polyline scan (np.argmin keeps the lowest index on exact
-    ties)."""
+    """Vectorized scan of the table rows it is given: (row, t, distance),
+    the row an index into those rows.  Same contract as
+    nearest_on_polyline over the same rows, with the first of exact ties
+    kept (np.argmin).  The global scan passes the first nseg rows; a
+    window passes the slice [start:stop], which on a closed track may run
+    into the second copy of its rows, and its caller adds start."""
     t = ((px - ax) * dx + (py - ay) * dy) / seg2
     np.clip(t, 0.0, 1.0, out=t)
     fx = ax + t * dx

@@ -213,8 +213,10 @@ class Track:
         the scalar loop; both return the same bits.  Only
         learning.build_observation sets it.  The simulation harness keeps
         the loop until perfbench's peak memory stops growing with its pass
-        count (ROADMAP item 1); then the flag and the loop kernel are
-        deleted.
+        count (ROADMAP item 1): with the numpy window a classical_grid pass
+        is about 4x shorter, so 6-8 passes fit in a run instead of 1-2 and
+        its peak memory reads about twice as high.  Then the flag and the
+        loop kernel are deleted.
         """
         if hint is not None:
             start = (hint - _HINT_BACK) % self.nseg if self.closed else max(hint - _HINT_BACK, 0)

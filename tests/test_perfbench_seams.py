@@ -11,6 +11,7 @@ so each workload is set up, and one ppo_train pass run and checked, as
 perfbench/run.py starts them.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -29,6 +30,17 @@ from trackbench.track import straight_track
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOAD = ROOT / "perfbench" / "workload.py"
+
+
+def _workload_constant(name: str):
+    """A module-level constant of perfbench/workload.py, read without
+    running that file."""
+    for node in ast.parse(WORKLOAD.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in {WORKLOAD}")
 
 
 def _load_tracing():
@@ -103,5 +115,7 @@ def test_perfbench_ppo_train_pass_is_correct(tmp_path):
     assert result["correct"]
     # the workload counts one step per LaneKeepEnv.step call, so training
     # that bypassed it would read as 0 steps per second; the evaluation
-    # alone takes at most 20 episodes of max_steps
-    assert result["pass_steps"][0] > 20 * EnvConfig().max_steps
+    # alone takes at most EVAL_EPISODES episodes of the default max_steps
+    # (the workload's env is built with EnvConfig())
+    eval_steps = _workload_constant("EVAL_EPISODES") * EnvConfig().max_steps
+    assert result["pass_steps"][0] > eval_steps
