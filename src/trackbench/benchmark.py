@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import fields
 from importlib import resources
+from itertools import repeat
 
 from .config import ConfigError, _pick, _take, build_run, build_track, load_json
 from .sim import Metrics, simulate
@@ -80,34 +81,57 @@ def run_cell(suite: dict, controller_spec: dict, track_spec: dict, speed: float)
     return record, track
 
 
+def _suite_cell(suite: dict, out_dir, cell) -> dict:
+    """Run one (controller name, entry, track name, entry, speed) cell and
+    write its log; returns its summary row, an 'error' row if it raised."""
+    cname, controller_spec, tname, track_spec, speed = cell
+    row = {"controller": cname, "track": tname, "speed": float(speed)}
+    try:
+        record, _ = run_cell(suite, controller_spec, track_spec, speed)
+        for name in _METRIC_FIELDS:
+            row[name] = getattr(record.metrics, name)
+        row["termination"] = record.termination
+        record.to_csv(os.path.join(out_dir, _cell_name(cname, tname, speed) + ".csv"))
+    except Exception as exc:  # cell failure must not kill the suite
+        for name in _METRIC_FIELDS:
+            row[name] = math.nan
+        row["termination"] = "error"
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
 def run_suite(suite: dict, out_dir) -> list[dict]:
-    """Run every cell, write per-cell logs and summary.csv under out_dir."""
+    """Run every cell, write per-cell logs and summary.csv under out_dir.
+
+    The cells run on a pool of one process per CPU this process may use;
+    each cell is a pure function of its entries, so the outputs do not
+    depend on the pool's size, and the rows keep the suite's order.  The
+    workers are spawned, so they import the caller's main module: a script
+    that calls this guards its entry with `if __name__ == "__main__":`.
+    """
+    # imported here: they take about 20 ms to import, which every import of
+    # this module would pay otherwise
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     _take(suite, ("name", "speeds", "tracks", "controllers", *_SUITE_RUN_KEYS), "suite config")
     for key in ("controllers", "tracks", "speeds"):
         if key not in suite:
             raise ConfigError(f"suite config needs a {key!r} list")
     tnames = [_track_name(spec, i) for i, spec in enumerate(suite["tracks"])]
+    cells = [(_controller_name(controller_spec, index), controller_spec, tname, track_spec, speed)
+             for index, controller_spec in enumerate(suite["controllers"])
+             for track_spec, tname in zip(suite["tracks"], tnames)
+             for speed in suite["speeds"]]
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for index, controller_spec in enumerate(suite["controllers"]):
-        cname = _controller_name(controller_spec, index)
-        for track_spec, tname in zip(suite["tracks"], tnames):
-            for speed in suite["speeds"]:
-                row = {"controller": cname, "track": tname, "speed": float(speed)}
-                try:
-                    record, _ = run_cell(suite, controller_spec, track_spec, speed)
-                    for name in _METRIC_FIELDS:
-                        row[name] = getattr(record.metrics, name)
-                    row["termination"] = record.termination
-                    record.to_csv(
-                        os.path.join(out_dir, _cell_name(cname, tname, speed) + ".csv")
-                    )
-                except Exception as exc:  # cell failure must not kill the suite
-                    for name in _METRIC_FIELDS:
-                        row[name] = math.nan
-                    row["termination"] = "error"
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        cpus = os.cpu_count() or 1
+    # spawned, not forked: numpy's BLAS may run threads in this process
+    with ProcessPoolExecutor(max(1, min(cpus, len(cells))),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        rows = list(pool.map(_suite_cell, repeat(suite), repeat(out_dir), cells))
     write_summary(rows, os.path.join(out_dir, "summary.csv"))
     return rows
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .classical import SPEED_PID_GAINS, PidController
-from .models import STEER_MAX, VehicleParams, VehicleState
+from .models import STEER_MAX, VehicleParams, VehicleState, clamp
 from .nn import (AdamState, Mlp, adam_step, grad_list, load_mlp, loss,
                  loss_grad, save_mlp)
 from .track import Track, TrackingErrors
@@ -113,14 +113,10 @@ def collect_expert_dataset(track: Track, params: VehicleParams, *,
     from .geometric import StanleyConfig
     from .sim import LongitudinalPid, Paired, SimConfig, StanleyLateral, simulate
 
-    tangent0 = float(track.seg_tangent[0])
     all_obs, all_labels = [], []
     clean_record = None
     for offset, dheading in _EXPERT_STARTS:
-        x0 = float(track.xs[0]) - offset * math.sin(tangent0)
-        y0 = float(track.ys[0]) + offset * math.cos(tangent0)
-        init = VehicleState(x0, y0, kernels.wrap_angle(tangent0 + dheading),
-                            float(track.v_ref[0]))
+        init = VehicleState(*track.pose_at(0.0, offset, dheading), float(track.v_ref[0]))
         controller = Paired(StanleyLateral(StanleyConfig(delta_max=params.steer_max)),
                             LongitudinalPid(PidController(SPEED_PID_GAINS)))
         cfg = SimConfig(dt=dt, max_steps=max_steps, initial=init)
@@ -229,19 +225,13 @@ class LaneKeepEnv:
 
     def reset(self, rng: np.random.Generator):
         cfg = self.cfg
-        track = self.track
-        s0 = float(rng.uniform(0.0, track.length))
-        px, py = track.point_at_s(s0)
-        tangent = track.tangent_at_s(s0)
+        s0 = float(rng.uniform(0.0, self.track.length))
         off = float(rng.uniform(-cfg.start_offset, cfg.start_offset))
         dth = float(rng.uniform(-cfg.start_heading, cfg.start_heading))
-        x = px - off * math.sin(tangent)
-        y = py + off * math.cos(tangent)
-        self._state = (x, y, kernels.wrap_angle(tangent + dth), cfg.v_ref)
-        self._hint = None
+        self._state = (*self.track.pose_at(s0, off, dth), cfg.v_ref)
         self._steps = 0
         self._pid.reset()
-        obs, err = build_observation(track, *self._state, self.params, None)
+        obs, err = build_observation(self.track, *self._state, self.params, None)
         self._hint = err.nearest_index
         self._s_prev = err.s
         return obs
@@ -251,18 +241,15 @@ class LaneKeepEnv:
         params = self.params
         x, y, theta, v = self._state
         accel = self._pid.step(cfg.v_ref - v, cfg.dt, scheduling_value=v)
-        accel = min(max(accel, -params.decel_max), params.accel_max)
-        steer = min(max(steer, -params.steer_max), params.steer_max)
+        accel = clamp(accel, -params.decel_max, params.accel_max)
+        steer = clamp(steer, -params.steer_max, params.steer_max)
         self._state = kernels.kin_step(
             x, y, theta, v, accel, steer, cfg.dt, params.wheelbase, params.dist_rear
         )
         self._steps += 1
         obs, err = build_observation(self.track, *self._state, params, self._hint)
         self._hint = err.nearest_index
-        ds = err.s - self._s_prev
-        if self.track.closed:
-            half = 0.5 * self.track.length
-            ds = (ds + half) % self.track.length - half
+        ds = self.track.arc_delta(self._s_prev, err.s)
         self._s_prev = err.s
         reward = ds - cfg.cross_weight * err.cross_track**2
         done = False

@@ -242,7 +242,6 @@ class MpcLateral:
         # the commands issued but not yet acting on the plant
         self._pending: deque[tuple[float, float]] = deque(maxlen=self.cfg.latency_steps)
         self._solved_at = -1
-        self.last_result: OptResult | None = None
 
     def _command_at(self, ctx) -> tuple[float, float]:
         k = ctx.step_index
@@ -261,9 +260,7 @@ class MpcLateral:
         refs, self._hint, end = build_reference(ctx.track, sim, cfg, self._hint)
         if end:
             ctx.end_of_track = True
-        result = optimize(sim, refs, self._command, cfg, params, self._warm)
-        self.last_result = result
-        seq = result.seq
+        seq = optimize(sim, refs, self._command, cfg, params, self._warm).seq
         # shift one step for the next warm start, into one buffer that
         # optimize copies from
         if self._warm is None:

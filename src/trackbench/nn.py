@@ -1,4 +1,4 @@
-"""Minimal MLP with exact reverse-mode gradients, SGD/Adam, and a binary
+"""Minimal MLP with exact reverse-mode gradients, an Adam optimizer, and a binary
 serialization format for trained policies.
 
 Layers store (w, b, activation) with w shaped (out, in); batches are rows.

@@ -356,10 +356,7 @@ class _Progress:
         track = self.track
         if self.s_start is None:
             self.s_start = self.s_prev = s
-        ds = s - self.s_prev
-        if track.closed:
-            ds = (ds + 0.5 * track.length) % track.length - 0.5 * track.length
-        self.driven += ds
+        self.driven += track.arc_delta(self.s_prev, s)
         self.s_prev = s
         self.max_driven = max(self.max_driven, self.driven)
         return self.driven >= track.length if track.closed else s >= track.length - 1e-6

@@ -197,6 +197,22 @@ class Track:
         seg, t = self.locate_s(s)
         return float(self._k[seg] + t * self._dk[seg])
 
+    def pose_at(self, s: float, offset: float, dheading: float) -> tuple[float, float, float]:
+        """(x, y, theta) `offset` m left of the path at arc length s, heading
+        `dheading` from the path's tangent there."""
+        px, py = self.point_at_s(s)
+        tangent = self.tangent_at_s(s)
+        return (px - offset * math.sin(tangent), py + offset * math.cos(tangent),
+                wrap_angle(tangent + dheading))
+
+    def arc_delta(self, s_from: float, s_to: float) -> float:
+        """s_to - s_from, taken the shorter way round a closed track."""
+        ds = s_to - s_from
+        if self.closed:
+            half = 0.5 * self.length
+            ds = (ds + half) % self.length - half
+        return ds
+
     # ------------------------------------------------------------- queries
 
     def nearest(self, px: float, py: float, hint: int | None = None, *,

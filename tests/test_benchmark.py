@@ -72,6 +72,51 @@ def test_bad_cell_recorded_as_error_and_suite_continues(tmp_path):
     assert lines[1].endswith(",error")
 
 
+def test_pool_size_changes_no_output(tmp_path, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+    import os
+
+    suite = {
+        "max_steps": 2000,
+        "controllers": [
+            {"name": "broken", "lateral": {"type": "pure_pursuit", "k_v": -1.0}},
+            {"name": "stanley", "lateral": {"type": "stanley"}},
+        ],
+        "tracks": [{"name": "short", "kind": "straight", "length": 80.0}],
+        "speeds": [8.0],
+    }
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    outputs = []
+    # 8 CPUs are capped at the suite's 2 cells
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus{cpus}"
+        rows = run_suite(suite, out)
+        assert multiprocessing.active_children() == []
+        outputs.append((
+            [(r["controller"], r["termination"], r.get("error")) for r in rows],
+            {path.name: path.read_bytes() for path in sorted(out.iterdir())},
+        ))
+    # without affinity, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_suite(suite, tmp_path / "cpu_count")
+    assert sizes == [1, 2, 2, 2]
+    serial_rows, serial_files = outputs[0]
+    assert [name for name, _, _ in serial_rows] == ["broken", "stanley"]
+    assert serial_rows[0][1] == "error" and "k_v" in serial_rows[0][2]
+    assert sorted(serial_files) == ["stanley_short_8.csv", "summary.csv"]
+    assert all(entry == outputs[0] for entry in outputs)
+
+
 def test_suite_requires_grid_keys(tmp_path):
     with pytest.raises(ConfigError):
         run_suite({"controllers": [], "tracks": []}, tmp_path)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trackbench.kernels import wrap_angle
 from trackbench.learning import (
     OBS_DIM,
     EnvConfig,
@@ -22,7 +23,7 @@ from trackbench.learning import (
 )
 from trackbench.models import VehicleParams
 from trackbench.nn import Mlp
-from trackbench.track import circle_track, straight_track
+from trackbench.track import circle_track, racetrack, straight_track
 
 
 def test_observation_on_path_straight(params):
@@ -227,6 +228,29 @@ def test_env_reset_is_seed_deterministic(params, bench_track):
     a = env.reset(np.random.default_rng(5))
     b = env.reset(np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("track", [straight_track(200.0), circle_track(30.0),
+                                   racetrack(100.0, 20.0)],
+                         ids=["straight", "circle", "racetrack"])
+def test_env_resets_keep_the_inline_start(params, track):
+    # the start as LaneKeepEnv.reset wrote it inline: draws s0, offset,
+    # heading offset, in that order, from the same generator
+    cfg = EnvConfig()
+    env = LaneKeepEnv(track, params, cfg)
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(50):
+        obs = env.reset(rng)
+        s0 = float(oracle_rng.uniform(0.0, track.length))
+        px, py = track.point_at_s(s0)
+        tangent = track.tangent_at_s(s0)
+        off = float(oracle_rng.uniform(-cfg.start_offset, cfg.start_offset))
+        dth = float(oracle_rng.uniform(-cfg.start_heading, cfg.start_heading))
+        want = (px - off * math.sin(tangent), py + off * math.cos(tangent),
+                wrap_angle(tangent + dth), cfg.v_ref)
+        assert [float(v).hex() for v in env._state] == [v.hex() for v in want]
+        assert obs.tobytes() == build_observation(track, *want, params)[0].tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_evaluate_policy_deterministic(params):

@@ -424,6 +424,72 @@ def test_locate_s_is_the_searchsorted_form(track):
         assert _hex(got) == _hex(_locate_s_searchsorted(track, s)), s
 
 
+# the reference suite's three tracks and an open straight at an angle
+_START_TRACKS = [
+    straight_track(200.0),
+    circle_track(30.0),
+    racetrack(100.0, 20.0),
+    straight_track(50.0, spacing=0.7, start=(3.0, -4.0), heading=2.5),
+]
+_START_IDS = ["straight", "circle", "racetrack", "angled_straight"]
+
+
+@pytest.mark.parametrize("track", _START_TRACKS, ids=_START_IDS)
+def test_pose_at_is_the_inline_start_formulas(track):
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        s = float(rng.uniform(0.0, track.length))
+        off = float(rng.uniform(-2.0, 2.0))
+        dth = float(rng.uniform(-0.5, 0.5))
+        # LaneKeepEnv.reset's start, as it was written inline
+        px, py = track.point_at_s(s)
+        tangent = track.tangent_at_s(s)
+        want = (px - off * math.sin(tangent), py + off * math.cos(tangent),
+                kernels.wrap_angle(tangent + dth))
+        assert _hex(track.pose_at(s, off, dth)) == _hex(want), s
+    # collect_expert_dataset's starts at the first waypoint, as written inline
+    tangent0 = float(track.seg_tangent[0])
+    for off, dth in ((0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (-0.5, 0.15), (0.5, -0.15)):
+        want = (float(track.xs[0]) - off * math.sin(tangent0),
+                float(track.ys[0]) + off * math.cos(tangent0),
+                kernels.wrap_angle(tangent0 + dth))
+        assert _hex(track.pose_at(0.0, off, dth)) == _hex(want), (off, dth)
+
+
+@pytest.mark.parametrize("track", _START_TRACKS, ids=_START_IDS)
+def test_arc_delta_is_the_inline_wraps(track):
+    length = track.length
+
+    def env_step_form(s_from, s_to):
+        ds = s_to - s_from
+        if track.closed:
+            half = 0.5 * length
+            ds = (ds + half) % length - half
+        return ds
+
+    def progress_form(s_from, s_to):
+        ds = s_to - s_from
+        if track.closed:
+            ds = (ds + 0.5 * length) % length - 0.5 * length
+        return ds
+
+    rng = np.random.default_rng(32)
+    pairs = [tuple(rng.uniform(0.0, length, 2)) for _ in range(300)]
+    # small steps across the seam, forward and backward
+    for _ in range(50):
+        a = float(rng.uniform(0.0, 0.5))
+        b = length - float(rng.uniform(0.0, 0.5))
+        pairs += [(b, a), (a, b)]
+    for s_from, s_to in pairs:
+        got = track.arc_delta(float(s_from), float(s_to))
+        assert got.hex() == env_step_form(s_from, s_to).hex() == progress_form(s_from, s_to).hex()
+        if track.closed:
+            assert abs(got) <= 0.5 * length
+    if track.closed:
+        assert 0.0 < track.arc_delta(length - 0.25, 0.25) < 1.0
+        assert -1.0 < track.arc_delta(0.25, length - 0.25) < 0.0
+
+
 @pytest.mark.parametrize("track", _TRACKS, ids=_TRACK_IDS)
 def test_queries_are_the_per_call_geometry_queries(track, params):
     # hinted nearest (hints anywhere, so windows cross the seam and the
